@@ -18,6 +18,7 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def totient(n: int) -> int:
     out, m, p = 1, n, 2
     while p * p <= m:

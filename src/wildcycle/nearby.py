@@ -25,7 +25,8 @@ from .cyclotomic import Cyc, lcm
 from .errors import InternalInvariantError
 from .exponents import ComplexExponent, ell
 from .matrices import LaurentMatrix
-from .regular import monodromy_filtration, psi_beta, reduce_to_constant
+from .regular import (model_point, monodromy_filtration, psi_beta,
+                      reduce_to_constant)
 from .reduction import apply_operator
 from .series import LaurentSeries
 from .turrittin import FormalDecomposition, formal_decompose
@@ -237,8 +238,9 @@ def _certified_rank(mat: LaurentMatrix) -> int:
             continue
         used_rows.add(pivot)
         rank += 1
-        inv = work[pivot][col].invert(
-            (work[pivot][col].trunc or 8) - 2 * min(0, pv))
+        lead = work[pivot][col]
+        inv = lead.invert((8 if lead.trunc is None else lead.trunc)
+                          - 2 * min(0, pv))
         for i in range(nrows):
             if i != pivot and i not in used_rows:
                 f = work[i][col]
@@ -291,15 +293,16 @@ def _induced_action(conn: LambdaConnection, basis, order):
 # ---------------------------------------------------------------------------
 
 
-def deligne_nearby_cycles(conn: LambdaConnection, lambda0=1, order=None,
+def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None, order=None,
                           folded: bool = True) -> DeligneTable:
-    """The (phi, beta, weight) table of the represented module.
+    """The (phi, beta, weight) table of the represented module at z0.
 
-    ``folded`` merges Galois-orbit keys into one record (the direct image
-    identifies them); the unfolded per-summand view keeps each phi at the
-    decomposition level.
+    ``lambda0`` is resolved by :func:`regular.model_point`: a restricted
+    connection is read at its own point.  ``folded`` merges Galois-orbit
+    keys into one record (the direct image identifies them); the unfolded
+    per-summand view keeps each phi at the decomposition level.
     """
-    lam0 = lambda0 if isinstance(lambda0, Cyc) else Cyc.gaussian(lambda0, 0)
+    lam0 = model_point(conn, lambda0)
     if conn.q > 1:
         own = _own_disc(conn)
         inner = deligne_nearby_cycles(own, lambda0=lam0, order=order,

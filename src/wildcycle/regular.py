@@ -1,14 +1,19 @@
 """Analysis of regular summands: constant models and nearby-cycle data.
 
 A regular module (matrix pole order zero) is reduced to a constant matrix
-R(z) in three moves tied to a rational model point z0 (default 1):
+at a model point z0 != 0 (default 1).  Only the eigenvalue labels and the
+eigen-flag are read from the family residue R0(z); every t-order step runs
+on the connection restricted to z0, over Q(zeta_N):
 
-* a constant conjugation splits the residue into generalized eigenblocks,
-  one per eigenvalue function; functions are recognized in the shape
+* the residue's eigenvalue functions are recognized in the shape
   e(z) = star(beta + j) + m*z with integer j (exponent shift) and m
-  (lattice position: multiplying a section by t adds z, not 1);
+  (lattice position: multiplying a section by t adds z, not 1).  These
+  labels cannot be recovered from values at z0 alone, which is why they
+  come from the family;
+* a constant conjugation by the eigen-flag, evaluated at z0, splits the
+  residue into generalized eigenblocks, one per label;
 * every t-order >= 1 is eliminated order by order, except entries whose
-  obstruction e_row - e_col + order*z vanishes at z0 -- those are the
+  obstruction e_row(z0) - e_col(z0) + order*z0 vanishes -- those are the
   resonant couplings and stay;
 * partial t-rescalings align each resonance class (values congruent modulo
   z0*Z) to a common value at z0.  The kept couplings land exactly at t^0
@@ -30,8 +35,9 @@ from .errors import (DenominatorVanishes, InternalInvariantError,
                      NotStarShaped, UnsupportedAlgebraicExtension,
                      WildcycleError)
 from .exponents import ComplexExponent, ell, exponent_from_eigenvalue, star
-from .matrices import (LaurentMatrix, charpoly, const_kernel, const_rank,
-                       identity, mat_mul, nilpotent_jordan_chains)
+from .matrices import (LaurentMatrix, charpoly, const_is_nilpotent,
+                       const_kernel, const_rank, identity, mat_mul,
+                       nilpotent_jordan_chains)
 from .params import LPoly, ParamScalar, PS0, PS1
 from .reduction import charpoly_slopes, saturate_lattice
 from .roots import roots_in_field
@@ -182,13 +188,17 @@ class ModelBlock:
 
 @dataclass
 class RegularModel:
-    """Constant model R(z) of a regular module at the point z0."""
+    """Constant model of a regular module at the model point z0.
 
-    matrix: list                 # n x n ParamScalar rows, constant in t
+    ``matrix`` and ``gauge`` are values at z0 (ParamScalar constants); the
+    blocks keep the family labels e(z), which carry the exponent classes.
+    """
+
+    matrix: list                 # n x n constant ParamScalar rows
     blocks: list                 # ModelBlock in frame order
     lambda0: Cyc
-    gauge: LaurentMatrix
-    denominators: list           # rendered elimination obstructions inverted
+    gauge: LaurentMatrix         # from the input frame, evaluated at z0
+    denominators: list           # rendered e_r(z) - e_c(z) + m*z inverted
 
     @property
     def rank(self) -> int:
@@ -222,29 +232,47 @@ class NearbyCycleDatum:
         return tuple(sorted((l + 1 for l, d in self.primitive_dims.items()
                              for _ in range(d)), reverse=True))
 
-    def total_weight_dim(self) -> int:
-        return sum(self.weight_dims.values())
 
+def model_point(conn: LambdaConnection, lambda0=None) -> Cyc:
+    """The model point z0 for ``conn``, which must be nonzero.
 
-def reduce_to_constant(conn: LambdaConnection, lambda0=1, order=None) -> RegularModel:
-    """Bring a regular module to its constant model at z0 != 0."""
-    lam0 = lambda0 if isinstance(lambda0, Cyc) else Cyc.gaussian(lambda0, 0)
+    ``None`` means the connection's own point when it is restricted, and 1
+    for a family.  A restricted connection only has its own point.
+    """
+    if lambda0 is None:
+        lam0 = Cyc.rational(1) if conn.lambda0 is None else conn.lambda0
+    else:
+        lam0 = (lambda0 if isinstance(lambda0, Cyc)
+                else Cyc.gaussian(lambda0, 0))
+        if conn.lambda0 is not None and not lam0 == conn.lambda0:
+            raise WildcycleError(
+                f"model point {lam0.render()} differs from the point "
+                f"{conn.lambda0.render()} the connection is restricted to")
     if lam0.is_zero():
         raise WildcycleError(
             "constant models are computed at z0 != 0; "
             "use the V0-lattice invariants on the Higgs side")
+    return lam0
+
+
+def reduce_to_constant(conn: LambdaConnection, lambda0=None,
+                       order=None) -> RegularModel:
+    """Bring a regular module to its constant model at z0 != 0.
+
+    ``lambda0`` is resolved by :func:`model_point`.
+    """
+    lam0 = model_point(conn, lambda0)
     if order is None:
         order = conn.guaranteed_order
         if order is None:
             order = 8 * max(1, conn.rank)
     m = conn
-    gauges = []
+    saturation = None
     if m.pole_order() > 0:
-        w = saturate_lattice(m, 0, order)
-        m = m.gauge_transform(w)
+        saturation = saturate_lattice(m, 0, order)
+        m = m.gauge_transform(saturation)
         if m.pole_order() > 0:
             raise WildcycleError("module is not regular (pole persists)")
-        gauges.append(w)
     n = m.rank
     norder = lcm(m.cyclotomic_order(), lcm(4, lam0.order))
     r0 = m.action.coefficient_matrix(0)
@@ -256,19 +284,23 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=1, order=None) -> Regular
                        spectrum[i][0].beta.beta_re, spectrum[i][0].beta.beta_im,
                        spectrum[i][0].offset, spectrum[i][0].lattice))
     labels = [spectrum[i] for i in ordered]
-    flag, denominators = _eigen_flag(r0, labels, n)
-    s_const = LaurentMatrix.from_constant(flag, m.q)
-    m = m.gauge_transform(s_const, order=order)
-    gauges.append(s_const)
+    flag = LaurentMatrix.from_constant(_eigen_flag(r0, labels, n), m.q)
+    # the labels needed the family residue; every t-order step runs at z0
+    try:
+        gauges = [] if saturation is None else [saturation.eval_lambda(lam0)]
+        gauges.append(flag.eval_lambda(lam0))
+    except DenominatorVanishes as exc:
+        raise InternalInvariantError(
+            f"model gauge is singular at the model point: {exc}") from exc
+    m = m.restrict_lambda(lam0).gauge_transform(gauges[-1], order=order)
     blocks = []
     pos = 0
     for label, mult in labels:
         blocks.append(ModelBlock(label=label, size=mult, start=pos))
         pos += mult
     # eliminate all non-resonant t-orders in the unaligned frame
-    m, g_elim, elim_denoms = _eliminate_orders(m, blocks, lam0, order)
+    m, g_elim, denominators = _eliminate_orders(m, blocks, order)
     gauges.append(g_elim)
-    denominators.extend(elim_denoms)
     # alignment shears: same-class values become equal at z0, and the kept
     # resonant couplings land exactly at t^0
     cls_sorted = [class_of[i] for i in ordered]
@@ -292,24 +324,11 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=1, order=None) -> Regular
     total = LaurentMatrix.identity_matrix(n, conn.q)
     for g in gauges:
         total = total * g
-    model = RegularModel(matrix=const, blocks=blocks, lambda0=lam0,
-                         gauge=total,
-                         denominators=sorted(set(
-                             d.render() for d in denominators
-                             if not d.is_constant())))
-    _check_model_gauge(model, lam0)
-    return model
-
-
-def _check_model_gauge(model: RegularModel, lam0: Cyc):
-    try:
-        for row in model.gauge.rows:
-            for x in row:
-                for c in x.coeffs.values():
-                    c.eval(lam0)
-    except DenominatorVanishes as exc:
-        raise InternalInvariantError(
-            f"model gauge is singular at the model point: {exc}") from exc
+    return RegularModel(matrix=const, blocks=blocks, lambda0=lam0,
+                        gauge=total,
+                        denominators=sorted(set(
+                            d.render() for d in denominators
+                            if not d.is_constant())))
 
 
 def _resonance_classes(spectrum, lam0: Cyc):
@@ -359,7 +378,6 @@ def _eigen_flag(r0, ordered_labels, n):
     strictly triangular; the order-by-order eliminations rely on that.
     """
     cols = []
-    denominators = []
     for label, mult in ordered_labels:
         e = label.function()
         shifted = [[r0[i][j] - (e if i == j else PS0) for j in range(n)]
@@ -380,7 +398,7 @@ def _eigen_flag(r0, ordered_labels, n):
         cols.extend(block_cols)
     if len(cols) != n:
         raise InternalInvariantError("eigen flag does not span")
-    return [[cols[j][i] for j in range(n)] for i in range(n)], denominators
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _extends_independently(cols, vec, n):
@@ -389,18 +407,20 @@ def _extends_independently(cols, vec, n):
     return const_rank(matrix) == len(trial)
 
 
-def _eliminate_orders(m: LambdaConnection, blocks, lam0: Cyc, order: int):
-    """Remove every t-order >= 1 entry with z0-invertible obstruction."""
+def _eliminate_orders(m: LambdaConnection, blocks, order: int):
+    """Remove every t-order >= 1 entry with invertible obstruction at z0.
+
+    ``m`` is restricted to z0.  Returns the new connection, the gauge, and
+    the family obstructions e_r(z) - e_c(z) + order*z that were inverted.
+    """
     n = m.rank
     lam = m.lambda_factor()
     t_in = m.guaranteed_order
     horizon = t_in if t_in is not None else order
-    funcs = []
-    for b in blocks:
-        for _ in range(b.size):
-            funcs.append(b.label.function())
+    labels = [b.label for b in blocks for _ in range(b.size)]
+    values = [ParamScalar.of(label.value_at(m.lambda0)) for label in labels]
     r0 = m.action.coefficient_matrix(0)
-    nil = [[r0[i][j] - (funcs[i] if i == j else PS0) for j in range(n)]
+    nil = [[r0[i][j] - (values[i] if i == j else PS0) for j in range(n)]
            for i in range(n)]
     a_parts = {idx: m.action.coefficient_matrix(idx) for idx in range(horizon)}
     g_parts = {0: identity(n, PS1, PS0)}
@@ -416,9 +436,12 @@ def _eliminate_orders(m: LambdaConnection, blocks, lam0: Cyc, order: int):
                 for r in range(n):
                     for c in range(n):
                         known[r][c] = known[r][c] - t1[r][c] + t2[r][c]
-        gm, new_mt, denoms = _solve_order(nil, known, funcs, lam, mt, lam0)
-        denominators.extend(denoms)
-        if any(not x.is_zero() for row in gm for x in row):
+        gm, new_mt = _solve_order(nil, known, values, lam, mt)
+        inverted = [(r, c) for r in range(n) for c in range(n)
+                    if not gm[r][c].is_zero()]
+        denominators.extend(labels[r].function() - labels[c].function()
+                            + ParamScalar.lam() * mt for r, c in inverted)
+        if inverted:
             g_parts[mt] = gm
         new_parts[mt] = new_mt
     gauge = _assemble_series(g_parts, m.q, horizon)
@@ -431,20 +454,19 @@ def _zero_mat(n):
     return [[PS0 for _ in range(n)] for _ in range(n)]
 
 
-def _solve_order(nil, known, funcs, lam, mt, lam0: Cyc):
-    """Solve R0 G - G R0 + mt*z*G = known - kept at one order.
+def _solve_order(nil, known, values, lam, mt):
+    """Solve R0 G - G R0 + mt*z0*G = known - kept at one order, at z0.
 
-    Entries with obstruction vanishing at z0 are kept in the matrix; the
-    others are eliminated.  The nilpotent part of R0 feeds back through a
+    Entries with vanishing obstruction are kept in the matrix; the others
+    are eliminated.  The nilpotent part of R0 feeds back through a
     finitely-terminating fixed-point iteration.
     """
     n = len(nil)
-    ob = [[funcs[r] - funcs[c] + lam * mt for c in range(n)] for r in range(n)]
-    keep = [[ob[r][c].is_zero() or ob[r][c].eval(lam0).is_zero()
-             for c in range(n)] for r in range(n)]
+    ob = [[values[r] - values[c] + lam * mt for c in range(n)]
+          for r in range(n)]
+    keep = [[ob[r][c].is_zero() for c in range(n)] for r in range(n)]
     gm = _zero_mat(n)
     new_mt = _zero_mat(n)
-    denoms = []
     for _ in range(2 * n + 4):
         comm1 = mat_mul(nil, gm)
         comm2 = mat_mul(gm, nil)
@@ -465,11 +487,7 @@ def _solve_order(nil, known, funcs, lam, mt, lam0: Cyc):
             break
     else:
         raise InternalInvariantError("order elimination did not close")
-    for r in range(n):
-        for c in range(n):
-            if not keep[r][c] and not gm[r][c].is_zero():
-                denoms.append(ob[r][c])
-    return gm, new_mt, denoms
+    return gm, new_mt
 
 
 def _assemble_series(parts, q, horizon):
@@ -529,27 +547,12 @@ def psi_beta(model: RegularModel, beta) -> NearbyCycleDatum:
                 entry = Cyc.zero()
             row.append(-entry)
         nil.append(row)
-    _check_nilpotent(nil)
+    if not const_is_nilpotent(nil, Cyc.one(), Cyc.zero()):
+        raise InternalInvariantError("expected nilpotent block is not nilpotent")
     weight_dims, primitive_dims, _ = monodromy_filtration(nil)
     return NearbyCycleDatum(beta=beta, dim=dim, nilpotent=nil,
                             weight_dims=weight_dims,
                             primitive_dims=primitive_dims)
-
-
-def nearby_data(model: RegularModel):
-    """psi_beta for every class present, in the canonical order."""
-    return [psi_beta(model, beta) for beta in model.classes()]
-
-
-def _check_nilpotent(mat):
-    n = len(mat)
-    p = [row[:] for row in mat]
-    for _ in range(n):
-        if all(x.is_zero() for row in p for x in row):
-            return
-        p = mat_mul(p, mat)
-    if not all(x.is_zero() for row in p for x in row):
-        raise InternalInvariantError("expected nilpotent block is not nilpotent")
 
 
 def monodromy_filtration(nil):

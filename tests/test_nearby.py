@@ -5,11 +5,16 @@ from fractions import Fraction
 import pytest
 
 from wildcycle.connection import ExpFactor, LambdaConnection
+from wildcycle.corpus import build_corpus
+from wildcycle.cyclotomic import Cyc
+from wildcycle.errors import (InternalInvariantError, NotStarShaped,
+                              WildcycleError)
 from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
-from wildcycle.nearby import (deligne_nearby_cycles, is_t_irreducible,
-                              ramification_transport, regular_part,
-                              tables_equal)
+from wildcycle.nearby import (_certified_rank, deligne_nearby_cycles,
+                              is_t_irreducible, ramification_transport,
+                              regular_part, tables_equal)
+from wildcycle.params import PS1
 from wildcycle.series import LaurentSeries
 
 
@@ -157,3 +162,73 @@ def test_regular_part_none_for_pure_irregular():
     phi = ExpFactor(1, {1: 1})
     irr = LambdaConnection.trivial(1, 1, 12).twist_exponential(phi, 1)
     assert regular_part(irr) is None
+
+
+def test_certified_rank_honours_truncation_zero():
+    # t^-1 known to order 0: a unit, inverted to the digits it certifies
+    mat = LaurentMatrix([[LaurentSeries(1, {-1: PS1}, 0)]], 1)
+    assert _certified_rank(mat) == 1
+
+
+# -- regular corpus cases ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def regular_cases():
+    return {c.name: c.connection for c in build_corpus(11, trunc=6)
+            if c.name.startswith("reg-")}
+
+
+F = Fraction
+
+# (beta, dim, Jordan type) rows of each reg-* case, read off its construction
+# in corpus.py: one row per exponent class, and one Jordan block per chain of
+# couplings between equal exponents (couplings between distinct exponents
+# leave no trace).
+GOLDEN_REGULAR_ROWS = {
+    "reg-rank1-zero": [((0, 0), 1, (1,))],
+    "reg-rank1-half": [((F(-1, 2), 0), 1, (1,))],
+    "reg-rank2-distinct": [((F(-1, 2), 0), 1, (1,)), ((F(-1, 3), 0), 1, (1,))],
+    "reg-rank2-jordan": [((F(-1, 3), 0), 2, (2,))],
+    "reg-rank3-mixed": [((0, 0), 1, (1,)), ((F(-1, 2), 0), 1, (1,)),
+                        ((F(-2, 3), 1), 1, (1,))],
+    "reg-rank3-jordan3": [((F(-1, 2), 0), 3, (3,))],
+    "reg-rank2-imag": [((F(-2, 3), 1), 1, (1,)), ((F(-1, 4), -1), 1, (1,))],
+    "reg-rank4-pairs": [((0, 0), 2, (2,)), ((F(-1, 3), 0), 2, (2,))],
+}
+
+REAL_EXPONENT_CASES = ["reg-rank1-zero", "reg-rank1-half", "reg-rank2-distinct",
+                       "reg-rank2-jordan", "reg-rank3-jordan3",
+                       "reg-rank4-pairs"]
+
+
+@pytest.mark.parametrize("lam0", [Cyc.rational(1), Cyc.rational(2),
+                                  Cyc.imaginary_unit()],
+                         ids=["1", "2", "i"])
+def test_golden_regular_rows(regular_cases, lam0):
+    assert sorted(regular_cases) == sorted(GOLDEN_REGULAR_ROWS)
+    for name, m in regular_cases.items():
+        table = deligne_nearby_cycles(m, lambda0=lam0)
+        assert len(table.entries) == 1 and table.entries[0].phi.is_zero()
+        rows = sorted(((r.beta.beta_re, r.beta.beta_im), r.dim, r.jordan_type())
+                      for r in table.entries[0].rows)
+        assert rows == sorted(GOLDEN_REGULAR_ROWS[name]), f"{name} at {lam0}"
+
+
+def test_restricted_connection_is_read_at_its_own_point(regular_cases):
+    # the Higgs field has no constant model: an input error, not a bug
+    for name, m in regular_cases.items():
+        with pytest.raises(WildcycleError) as info:
+            deligne_nearby_cycles(m.restrict_lambda(0))
+        assert not isinstance(info.value, InternalInvariantError), name
+    for name in REAL_EXPONENT_CASES:
+        m = regular_cases[name]
+        for z in (1, 2):
+            assert tables_equal(deligne_nearby_cycles(m.restrict_lambda(z)),
+                                deligne_nearby_cycles(m, lambda0=z)), \
+                f"{name} at {z}"
+    with pytest.raises(WildcycleError):
+        deligne_nearby_cycles(regular_cases["reg-rank1-half"]
+                              .restrict_lambda(1), lambda0=2)
+    # star(beta) of a non-real exponent is not visible in values at one point
+    with pytest.raises(NotStarShaped):
+        deligne_nearby_cycles(regular_cases["reg-rank2-imag"].restrict_lambda(1))
