@@ -93,9 +93,6 @@ class ExpFactor:
         return LaurentSeries(
             self.q, {-a: c * Fraction(-a) for a, c in self.coeffs.items()})
 
-    def as_series(self) -> LaurentSeries:
-        return LaurentSeries(self.q, {-a: c for a, c in self.coeffs.items()})
-
     def cyclotomic_order(self) -> int:
         n = 1
         for c in self.coeffs.values():
@@ -207,10 +204,6 @@ class LambdaConnection:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def from_matrix(rows, q: int = 1, lambda0=None) -> "LambdaConnection":
-        return LambdaConnection(LaurentMatrix(rows, q), q, lambda0)
-
-    @staticmethod
     def trivial(rank: int = 1, q: int = 1, trunc=None) -> "LambdaConnection":
         return LambdaConnection(
             LaurentMatrix.zero_matrix(rank, rank, q, trunc), q)
@@ -313,14 +306,9 @@ class LambdaConnection:
     def direct_sum(self, other: "LambdaConnection") -> "LambdaConnection":
         if other.q != self.q:
             raise WildcycleError("ramification mismatch in direct sum")
-        n, m = self.rank, other.rank
-        zero = LaurentSeries.zero(self.q)
-        rows = []
-        for i in range(n):
-            rows.append(self.action.rows[i] + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + other.action.rows[i])
-        return LambdaConnection(LaurentMatrix(rows, self.q), self.q, self.lambda0)
+        action = LaurentMatrix.block_diagonal([self.action, other.action],
+                                              self.q)
+        return LambdaConnection(action, self.q, self.lambda0)
 
     def tensor(self, other: "LambdaConnection") -> "LambdaConnection":
         """Tensor product action A (x) Id + Id (x) B."""
@@ -361,10 +349,3 @@ class LambdaConnection:
         tag = "family" if self.is_family else ("higgs" if self.is_higgs else "fixed")
         return (f"LambdaConnection(rank={self.rank}, q={self.q}, {tag}, "
                 f"pole={self.pole_order()})")
-
-
-def elementary_model(phi: ExpFactor, regular: LambdaConnection) -> "LambdaConnection":
-    """E^{phi/z} (x) R: the matrix u*phi'(u)*Id + (matrix of R)."""
-    if regular.q != phi.q:
-        raise WildcycleError("factor and regular part live at different levels")
-    return regular.twist_exponential(phi, sign=1)

@@ -190,17 +190,3 @@ def _full_orbit(phi: ExpFactor):
         if not any(tw == seen for seen in out):
             out.append(tw)
     return out
-
-
-def higgs_corpus(seed: int = 23, trunc: int = 12):
-    """Higgs restrictions of the corpus plus a few bespoke Higgs fields."""
-    cases = []
-    for case in build_corpus(seed=seed, trunc=trunc):
-        cases.append(CorpusCase(
-            name=case.name + "@0",
-            connection=case.connection.restrict_lambda(0),
-            expected_phis=case.expected_phis,
-            expected_rel_ramification=case.expected_rel_ramification,
-            regular=case.regular,
-            exponents=case.exponents))
-    return cases

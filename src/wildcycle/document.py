@@ -94,6 +94,9 @@ class InputDocument:
         if self.rank < 1 or self.ramification < 1 or self.truncation < 0:
             raise ParseError("rank, ramification and truncation are positive",
                              1, 1)
+        if self.cyclotomic_order < 1:
+            raise ParseError("cyclotomic_order must be at least 1",
+                             headers["cyclotomic_order"][0], 1)
         if "lambda0" in headers:
             lineno, value = headers["lambda0"][0], headers["lambda0"][1]
             self.lambda0_points = [self._scalar(v.strip(), lineno)

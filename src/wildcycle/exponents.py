@@ -58,9 +58,6 @@ class ComplexExponent:
         shift = -(-self.beta_re).__floor__()  # ceil(beta_re)
         return ComplexExponent(self.beta_re - shift, self.beta_im)
 
-    def integer_shift_from_normalized(self) -> Fraction:
-        return self.beta_re - self.normalized().beta_re
-
     def as_cyc(self) -> Cyc:
         return Cyc.gaussian(self.beta_re, self.beta_im)
 
@@ -132,8 +129,3 @@ def exponent_from_eigenvalue(e: ParamScalar, allow_shift: bool = False):
     if allow_shift:
         return beta, shift
     return beta
-
-
-def eigenvalue_order_key(beta: ComplexExponent, lambda0):
-    """Sorting key: ell at lambda0, ties broken by (beta', beta'')."""
-    return (ell(beta, lambda0), beta.beta_re, beta.beta_im)

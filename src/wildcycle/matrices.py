@@ -54,10 +54,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
@@ -154,12 +150,6 @@ def const_solve(mat, rhs_cols, one, zero):
     return [[rref[i][n + j] for j in range(w)] for i in range(n)]
 
 
-def const_inverse(mat, one, zero):
-    n = len(mat)
-    rhs = identity(n, one, zero)
-    return const_solve(mat, rhs, one, zero)
-
-
 def const_is_nilpotent(mat, one, zero) -> bool:
     n = len(mat)
     p = [row[:] for row in mat]
@@ -185,25 +175,17 @@ def nilpotent_jordan_chains(mat, one, zero):
             break
     nil_index = len(powers) - 1
     # flag space via ker N^k
-    kernels = [const_kernel_matrix(powers[k], one, zero) for k in
+    kernels = [const_kernel(powers[k], one, zero) for k in
                range(nil_index + 1)]
     chains = []
     used = []  # running spanning set (columns)
-
-    def in_span(vecs, v):
-        if not vecs:
-            return all(_iszero(x) for x in v)
-        cols = [list(col) for col in vecs]
-        mat_t = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        aug = [mat_t[i] + [v[i]] for i in range(n)]
-        _, pivots = const_rref(aug)
-        return len(cols) not in pivots
-
     for k in range(nil_index, 0, -1):
         # chain tops of length k: in ker N^k, independent from ker N^(k-1)+used
+        ambient = Echelon()
+        for v in kernels[k - 1] + used:
+            ambient.add(v)
         for v in kernels[k]:
-            ambient = kernels[k - 1] + used
-            if in_span(ambient, v):
+            if not ambient.add(v):
                 continue
             chain = [v]
             cur = v
@@ -215,8 +197,26 @@ def nilpotent_jordan_chains(mat, one, zero):
     return chains
 
 
-def const_kernel_matrix(mat, one, zero):
-    return const_kernel(mat, one, zero)
+class Echelon:
+    """Incremental echelon over an exact field: :meth:`add` reduces a vector
+    against the stored pivots, keeps a nonzero remainder, and so tells
+    whether the vector is independent of every vector added before."""
+
+    def __init__(self):
+        self.rows = []  # (pivot index, remainder scaled to 1 at the pivot)
+
+    def add(self, vec) -> bool:
+        v = list(vec)
+        for p, row in self.rows:
+            f = v[p]
+            if not _iszero(f):
+                v = [x - f * y for x, y in zip(v, row)]
+        for p, x in enumerate(v):
+            if not _iszero(x):
+                inv = _invert(x)
+                self.rows.append((p, [y * inv for y in v]))
+                return True
+        return False
 
 
 def apply_mat(mat, vec):
@@ -274,6 +274,17 @@ class LaurentMatrix:
                  for j in range(n)] for i in range(n)]
         return LaurentMatrix(rows, q)
 
+    @staticmethod
+    def block_diagonal(mats, q: int = 1) -> "LaurentMatrix":
+        zero = LaurentSeries.zero(q)
+        n = sum(m.nrows for m in mats)
+        rows, off = [], 0
+        for m in mats:
+            rows.extend([zero] * off + row + [zero] * (n - off - m.nrows)
+                        for row in m.rows)
+            off += m.nrows
+        return LaurentMatrix(rows, q)
+
     # basic data
     @property
     def nrows(self) -> int:
@@ -282,9 +293,6 @@ class LaurentMatrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int) -> LaurentSeries:
-        return self.rows[i][j]
 
     def trunc(self):
         t = None
@@ -297,14 +305,6 @@ class LaurentMatrix:
     def truncate(self, order) -> "LaurentMatrix":
         return LaurentMatrix(
             [[x.truncate(order) for x in row] for row in self.rows], self.q)
-
-    def valuation_bound(self):
-        v = None
-        for row in self.rows:
-            for x in row:
-                b = x.valuation_bound()
-                v = b if v is None else min(v, b)
-        return v
 
     def map(self, fn) -> "LaurentMatrix":
         return LaurentMatrix([[fn(x) for x in row] for row in self.rows], None)

@@ -23,10 +23,10 @@ from math import gcd
 from .connection import ExpFactor, LambdaConnection
 from .cyclotomic import Cyc, lcm
 from .errors import InternalInvariantError
-from .exponents import ComplexExponent, ell
+from .exponents import ell
 from .matrices import LaurentMatrix
-from .regular import (model_point, monodromy_filtration, psi_beta,
-                      reduce_to_constant)
+from .regular import (NearbyCycleDatum, model_point, monodromy_filtration,
+                      psi_beta, reduce_to_constant)
 from .reduction import apply_operator
 from .series import LaurentSeries
 from .turrittin import FormalDecomposition, formal_decompose
@@ -43,16 +43,8 @@ def is_t_irreducible(phi: ExpFactor) -> bool:
 
 
 @dataclass
-class DeligneRow:
-    beta: ComplexExponent          # normalized class in the base coordinate
-    dim: int
-    nilpotent: list                # Cyc rows; Jordan type is the invariant
-    weight_dims: dict
-    primitive_dims: dict
-
-    def jordan_type(self):
-        return tuple(sorted((l + 1 for l, d in self.primitive_dims.items()
-                             for _ in range(d)), reverse=True))
+class DeligneRow(NearbyCycleDatum):
+    """A nearby-cycle datum whose class is measured in the base coordinate."""
 
     def as_json(self):
         return {
@@ -170,19 +162,18 @@ def regular_part(conn: LambdaConnection, order=None):
         work = (order if order is not None else 8 * max(1, n)) * rel
     gauge = dec.gauge
     ginv = gauge.inverse(work)
-    indicator = []
-    off = 0
-    for s in dec.summands:
-        flag = s.phi.is_zero()
-        indicator.extend([flag] * s.rank)
-        off += s.rank
+    indicator = [s.phi.is_zero() for s in dec.summands for _ in range(s.rank)]
     e_rows = [[LaurentSeries.one(up.q, work) if (i == j and indicator[i])
                else LaurentSeries.zero(up.q, work) for j in range(n)]
               for i in range(n)]
     proj = gauge * LaurentMatrix(e_rows, up.q) * ginv
     down = _descend_matrix(proj, rel, conn.q)
-    basis = _column_basis(down, sum(1 for f in indicator if f))
-    return _induced_action(conn, basis, work)
+    cols = [[down.rows[i][j] for i in range(n)] for j in range(n)]
+    rank = sum(indicator)
+    picked = _certified_independent(cols, rank, conn.q, as_columns=True)
+    if len(picked) != rank:
+        raise InternalInvariantError("projector image has unexpected rank")
+    return _induced_action(conn, [cols[j] for j in picked], work)
 
 
 def _descend_matrix(mat: LaurentMatrix, rel: int, q_target: int) -> LaurentMatrix:
@@ -203,21 +194,21 @@ def _descend_matrix(mat: LaurentMatrix, rel: int, q_target: int) -> LaurentMatri
     return LaurentMatrix(rows, q_target)
 
 
-def _column_basis(mat: LaurentMatrix, expected_rank: int):
-    """Greedy certified-independent columns of a projector matrix."""
-    n = mat.nrows
-    cols = [[mat.rows[i][j] for i in range(n)] for j in range(mat.ncols)]
+def _certified_independent(vectors, want: int, q: int, as_columns: bool):
+    """Indices of the first ``want`` greedily certified-independent vectors.
+
+    Each trial set is laid out as the columns (or rows) of a matrix and
+    kept when :func:`_certified_rank` certifies its full rank.
+    """
     picked = []
-    for col in cols:
-        trial = picked + [col]
-        test = LaurentMatrix([[trial[j][i] for j in range(len(trial))]
-                              for i in range(n)], mat.q)
-        if _certified_rank(test) == len(trial):
-            picked.append(col)
-        if len(picked) == expected_rank:
+    for idx, vec in enumerate(vectors):
+        trial = [vectors[j] for j in picked] + [vec]
+        if as_columns:
+            trial = [[v[i] for v in trial] for i in range(len(vec))]
+        if _certified_rank(LaurentMatrix(trial, q)) == len(picked) + 1:
+            picked.append(idx)
+        if len(picked) == want:
             break
-    if len(picked) != expected_rank:
-        raise InternalInvariantError("projector image has unexpected rank")
     return picked
 
 
@@ -257,17 +248,9 @@ def _induced_action(conn: LambdaConnection, basis, order):
     images = [apply_operator(conn, col) for col in basis]
     bmat = LaurentMatrix([[basis[j][i] for j in range(m)] for i in range(n)],
                          conn.q)
-    # choose m certified-independent rows
-    rows_idx = []
-    probe = []
-    for i in range(n):
-        trial = probe + [[basis[j][i] for j in range(m)]]
-        test = LaurentMatrix(trial, conn.q)
-        if _certified_rank(test) == len(trial):
-            probe.append(trial[-1])
-            rows_idx.append(i)
-        if len(rows_idx) == m:
-            break
+    rows_idx = _certified_independent(
+        [[basis[j][i] for j in range(m)] for i in range(n)], m, conn.q,
+        as_columns=False)
     if len(rows_idx) != m:
         raise InternalInvariantError("image basis rows are degenerate")
     bsq = LaurentMatrix([[basis[j][i] for j in range(m)] for i in rows_idx],
@@ -337,7 +320,9 @@ def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None, order=None,
             raise InternalInvariantError(
                 "empty regular part for a detected orbit")
         model = reduce_to_constant(reg, lambda0=lam0)
-        rows = _spread_rows(model, q_phi, lam0)
+        rows = _gather_rows(
+            [t for beta, _ in model.exponents_with_multiplicity()
+             for t in _spread_datum(psi_beta(model, beta), q_phi)], lam0)
         entries.append(DeligneEntry(phi=rep, rows=rows, orbit=full_orbit,
                                     provenance=sorted(orb["members"])))
     table = DeligneTable(entries=_sort_entries(entries, lam0),
@@ -362,13 +347,8 @@ def _unfolded_table(conn, dec: FormalDecomposition, lam0, order) -> DeligneTable
     rel = dec.rel_ramification
     for idx, s in enumerate(dec.summands):
         model = reduce_to_constant(s.regular, lambda0=lam0)
-        rows = []
-        for beta, _ in model.exponents_with_multiplicity():
-            datum = psi_beta(model, beta)
-            rows.append(DeligneRow(beta=datum.beta, dim=datum.dim,
-                                   nilpotent=datum.nilpotent,
-                                   weight_dims=datum.weight_dims,
-                                   primitive_dims=datum.primitive_dims))
+        rows = [DeligneRow(**vars(psi_beta(model, beta)))
+                for beta, _ in model.exponents_with_multiplicity()]
         entries.append(DeligneEntry(phi=s.phi, rows=rows, orbit=[s.phi],
                                     provenance=[idx]))
     return DeligneTable(entries=entries, base_ramification=conn.q * rel,
@@ -376,20 +356,24 @@ def _unfolded_table(conn, dec: FormalDecomposition, lam0, order) -> DeligneTable
                         lambda0=lam0, q_used=dec.q_used)
 
 
-def _spread_rows(model, q_phi: int, lam0: Cyc):
-    """Downstairs rows: upstairs beta spreads into (beta + k)/q classes."""
+def _spread_datum(datum, q: int):
+    """One class pushed down a q-fold cover: (beta + k)/q with nil/q."""
+    return [((datum.beta + k).scale(Fraction(1, q)).normalized(), datum.dim,
+             [[c / q for c in row] for row in datum.nilpotent])
+            for k in range(q)]
+
+
+def _gather_rows(triples, lam0: Cyc):
+    """Rows from (class, dim, nilpotent) triples, equal classes merged.
+
+    Merged nilpotents are block-diagonal in the order the triples come;
+    rows are sorted by (ell, beta', beta'').
+    """
     gathered = {}
-    for beta, _ in model.exponents_with_multiplicity():
-        datum = psi_beta(model, beta)
-        for k in range(q_phi):
-            gamma = (datum.beta + k).scale(Fraction(1, q_phi)).normalized()
-            scaled = [[c / q_phi for c in row] for row in datum.nilpotent]
-            key = (gamma.beta_re, gamma.beta_im)
-            if key in gathered:
-                gathered[key] = _merge_row(gathered[key],
-                                           (gamma, datum.dim, scaled))
-            else:
-                gathered[key] = (gamma, datum.dim, scaled)
+    for triple in triples:
+        key = (triple[0].beta_re, triple[0].beta_im)
+        gathered[key] = (_merge_row(gathered[key], triple) if key in gathered
+                         else triple)
     rows = []
     for gamma, dim, nil in gathered.values():
         weight_dims, primitive_dims, _ = monodromy_filtration(nil) \
@@ -402,17 +386,12 @@ def _spread_rows(model, q_phi: int, lam0: Cyc):
 
 
 def _merge_row(a, b):
+    """Block-diagonal sum of two rows of the same class."""
     gamma, dim_a, nil_a = a
     _, dim_b, nil_b = b
-    size = dim_a + dim_b
-    nil = [[Cyc.zero() for _ in range(size)] for _ in range(size)]
-    for i in range(dim_a):
-        for j in range(dim_a):
-            nil[i][j] = nil_a[i][j]
-    for i in range(dim_b):
-        for j in range(dim_b):
-            nil[dim_a + i][dim_a + j] = nil_b[i][j]
-    return (gamma, size, nil)
+    nil = ([row + [Cyc.zero()] * dim_b for row in nil_a]
+           + [[Cyc.zero()] * dim_a + row for row in nil_b])
+    return (gamma, dim_a + dim_b, nil)
 
 
 def _sort_entries(entries, lam0):
@@ -432,27 +411,14 @@ def _push_table_down(table: DeligneTable, q: int, lam0: Cyc) -> DeligneTable:
         phi_new = ExpFactor(e.phi.q * q, dict(e.phi.coeffs)).reduce_ramification()
         orbit_new = _orbit_of(phi_new)
         rep = _canonical_orbit_rep(orbit_new)
-        rows = {}
-        for r in e.rows:
-            for k in range(q):
-                gamma = (r.beta + k).scale(Fraction(1, q)).normalized()
-                scaled = [[c / q for c in row] for row in r.nilpotent]
-                key = (gamma.beta_re, gamma.beta_im)
-                if key in rows:
-                    rows[key] = _merge_row(rows[key], (gamma, r.dim, scaled))
-                else:
-                    rows[key] = (gamma, r.dim, scaled)
-        new_rows = []
-        for gamma, dim, nil in rows.values():
-            wd, pd, _ = monodromy_filtration(nil) if dim else ({}, {}, [])
-            new_rows.append(DeligneRow(beta=gamma, dim=dim, nilpotent=nil,
-                                       weight_dims=wd, primitive_dims=pd))
-        new_rows.sort(key=lambda r: (ell(r.beta, lam0),
-                                     r.beta.beta_re, r.beta.beta_im))
+        new_rows = _gather_rows(
+            [t for r in e.rows for t in _spread_datum(r, q)], lam0)
         placed = False
         for existing in entries:
             if _same_orbit(existing.phi, rep):
-                existing.rows = _merge_rowlists(existing.rows, new_rows, lam0)
+                existing.rows = _gather_rows(
+                    [(r.beta, r.dim, r.nilpotent)
+                     for r in existing.rows + new_rows], lam0)
                 placed = True
                 break
         if not placed:
@@ -462,23 +428,6 @@ def _push_table_down(table: DeligneTable, q: int, lam0: Cyc) -> DeligneTable:
                         base_ramification=table.base_ramification * q,
                         represented_rank=table.represented_rank * q,
                         lambda0=lam0, q_used=table.q_used)
-
-
-def _merge_rowlists(rows_a, rows_b, lam0):
-    merged = {}
-    for r in rows_a + rows_b:
-        key = (r.beta.beta_re, r.beta.beta_im)
-        if key in merged:
-            merged[key] = _merge_row(merged[key], (r.beta, r.dim, r.nilpotent))
-        else:
-            merged[key] = (r.beta, r.dim, r.nilpotent)
-    out = []
-    for gamma, dim, nil in merged.values():
-        wd, pd, _ = monodromy_filtration(nil) if dim else ({}, {}, [])
-        out.append(DeligneRow(beta=gamma, dim=dim, nilpotent=nil,
-                              weight_dims=wd, primitive_dims=pd))
-    out.sort(key=lambda r: (ell(r.beta, lam0), r.beta.beta_re, r.beta.beta_im))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +447,10 @@ def ramification_transport(table: DeligneTable, r: int) -> DeligneTable:
     step_den = r * table.base_ramification
     entries = []
     for e in table.entries:
-        rows = {}
-        for row in e.rows:
-            for n in range(r):
-                gamma = (row.beta - Fraction(n, step_den)).normalized()
-                scaled = [[c * r for c in rr] for rr in row.nilpotent]
-                key = (gamma.beta_re, gamma.beta_im)
-                if key in rows:
-                    rows[key] = _merge_row(rows[key], (gamma, row.dim, scaled))
-                else:
-                    rows[key] = (gamma, row.dim, scaled)
-        new_rows = []
-        for gamma, dim, nil in rows.values():
-            wd, pd, _ = monodromy_filtration(nil) if dim else ({}, {}, [])
-            new_rows.append(DeligneRow(beta=gamma, dim=dim, nilpotent=nil,
-                                       weight_dims=wd, primitive_dims=pd))
-        new_rows.sort(key=lambda rr: (ell(rr.beta, table.lambda0),
-                                      rr.beta.beta_re, rr.beta.beta_im))
+        new_rows = _gather_rows(
+            [((row.beta - Fraction(n, step_den)).normalized(), row.dim,
+              [[c * r for c in rr] for rr in row.nilpotent])
+             for row in e.rows for n in range(r)], table.lambda0)
         entries.append(DeligneEntry(phi=e.phi, rows=new_rows,
                                     orbit=list(e.orbit), provenance=[]))
     return DeligneTable(entries=_sort_entries(entries, table.lambda0),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, lcm
+from .cyclotomic import Cyc
 from .errors import DenominatorVanishes, WildcycleError
 
 
@@ -326,13 +326,3 @@ class ParamScalar:
 
 PS0 = ParamScalar.rational(0)
 PS1 = ParamScalar.rational(1)
-
-
-def ps_lcm_order(*scalars) -> int:
-    """lcm of cyclotomic orders appearing in the given scalars."""
-    n = 1
-    for s in scalars:
-        for poly in (s.num, s.den):
-            for c in poly.coeffs:
-                n = lcm(n, c.order)
-    return n

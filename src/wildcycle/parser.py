@@ -13,7 +13,7 @@ Values are exact Laurent polynomials in the series variable with
 coefficients polynomial (or rational, via '/') in the parameter.  Division
 is allowed when the divisor is free of the series variable; a fractional
 power raises :class:`UnsupportedExponent` (declare ramification in the
-document header instead).
+document header instead).  Parentheses nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ class _Token:
 
 
 _SYMBOLS = "+-*/^()"
+
+# Deepest parenthesis nesting accepted.  Each level costs five frames of
+# recursion, so this stays far below the interpreter's default limit.
+MAX_NESTING = 100
 
 
 def _tokenize(src: str):
@@ -94,6 +98,7 @@ class ExpressionParser:
     def parse(self, src: str) -> LaurentSeries:
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         value = self._expr()
         tok = self._peek()
         if tok.kind != "end":
@@ -213,8 +218,14 @@ class ExpressionParser:
         if tok.kind == "int":
             return LaurentSeries.constant(Fraction(int(tok.text)), self.q)
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels",
+                    tok.line, tok.column, expected=["shallower nesting"])
             value = self._expr()
             self._expect(")", "closing parenthesis")
+            self.depth -= 1
             return value
         if tok.kind == "name":
             if tok.text == "i":

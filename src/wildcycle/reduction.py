@@ -17,7 +17,6 @@ Three tools live here:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .connection import LambdaConnection
 from .errors import (InsufficientTruncation, InternalInvariantError,
@@ -196,13 +195,6 @@ def max_slope(conn: LambdaConnection, order: int):
     slopes = (charpoly_slopes(conn) if conn.is_higgs
               else operator_slopes(conn, order))
     return slopes[-1][0] if slopes else Fraction(0)
-
-
-def slope_ramification(slopes) -> int:
-    r = 1
-    for slope, _ in slopes:
-        r = r * slope.denominator // gcd(r, slope.denominator)
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ on the connection restricted to z0, over Q(zeta_N):
   residue into generalized eigenblocks, one per label;
 * every t-order >= 1 is eliminated order by order, except entries whose
   obstruction e_row(z0) - e_col(z0) + order*z0 vanishes -- those are the
-  resonant couplings and stay;
+  resonant couplings and stay.  The order loop is the one of the Sylvester
+  split (``turrittin.gauge_by_orders``); since the residue's nilpotent part
+  is strictly upper triangular in the eigen-flag frame, each order is
+  solved in a single pass over its entries;
 * partial t-rescalings align each resonance class (values congruent modulo
   z0*Z) to a common value at z0.  The kept couplings land exactly at t^0
   under these shears, so the result is constant.
@@ -35,13 +38,15 @@ from .errors import (DenominatorVanishes, InternalInvariantError,
                      NotStarShaped, UnsupportedAlgebraicExtension,
                      WildcycleError)
 from .exponents import ComplexExponent, ell, exponent_from_eigenvalue, star
-from .matrices import (LaurentMatrix, charpoly, const_is_nilpotent,
+from .matrices import (Echelon, LaurentMatrix, charpoly, const_is_nilpotent,
                        const_kernel, const_rank, identity, mat_mul,
                        nilpotent_jordan_chains)
 from .params import LPoly, ParamScalar, PS0, PS1
 from .reduction import charpoly_slopes, saturate_lattice
 from .roots import roots_in_field
 from .series import LaurentSeries
+from .turrittin import (compose_gauges, formal_decompose, gauge_by_orders,
+                        newton_polygon, series_from_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +326,8 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None,
             if v is not None and v != 0:
                 raise InternalInvariantError(
                     "model failed to become constant after shearing")
-    total = LaurentMatrix.identity_matrix(n, conn.q)
-    for g in gauges:
-        total = total * g
     return RegularModel(matrix=const, blocks=blocks, lambda0=lam0,
-                        gauge=total,
+                        gauge=compose_gauges(gauges, n, conn.q),
                         denominators=sorted(set(
                             d.render() for d in denominators
                             if not d.is_constant())))
@@ -383,12 +385,12 @@ def _eigen_flag(r0, ordered_labels, n):
         shifted = [[r0[i][j] - (e if i == j else PS0) for j in range(n)]
                    for i in range(n)]
         block_cols = []
+        span = Echelon()
         power = identity(n, PS1, PS0)
         for _ in range(n):
             power = mat_mul(power, shifted)
-            kern = const_kernel(power, PS1, PS0)
-            for vec in kern:
-                if _extends_independently(block_cols, vec, n):
+            for vec in const_kernel(power, PS1, PS0):
+                if span.add(vec):
                     block_cols.append(vec)
             if len(block_cols) >= mult:
                 break
@@ -399,12 +401,6 @@ def _eigen_flag(r0, ordered_labels, n):
     if len(cols) != n:
         raise InternalInvariantError("eigen flag does not span")
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _extends_independently(cols, vec, n):
-    trial = cols + [vec]
-    matrix = [[trial[j][i] for j in range(len(trial))] for i in range(n)]
-    return const_rank(matrix) == len(trial)
 
 
 def _eliminate_orders(m: LambdaConnection, blocks, order: int):
@@ -422,89 +418,49 @@ def _eliminate_orders(m: LambdaConnection, blocks, order: int):
     r0 = m.action.coefficient_matrix(0)
     nil = [[r0[i][j] - (values[i] if i == j else PS0) for j in range(n)]
            for i in range(n)]
-    a_parts = {idx: m.action.coefficient_matrix(idx) for idx in range(horizon)}
-    g_parts = {0: identity(n, PS1, PS0)}
-    new_parts = {0: r0}
-    denominators = []
-    for mt in range(1, horizon):
-        known = [row[:] for row in a_parts.get(mt, _zero_mat(n))]
-        for j in range(1, mt):
-            gj = g_parts.get(j)
-            if gj is not None:
-                t1 = mat_mul(gj, new_parts[mt - j])
-                t2 = mat_mul(a_parts.get(mt - j, _zero_mat(n)), gj)
-                for r in range(n):
-                    for c in range(n):
-                        known[r][c] = known[r][c] - t1[r][c] + t2[r][c]
-        gm, new_mt = _solve_order(nil, known, values, lam, mt)
-        inverted = [(r, c) for r in range(n) for c in range(n)
+    if any(not nil[r][c].is_zero() for r in range(n) for c in range(r + 1)):
+        raise InternalInvariantError(
+            "nilpotent part of the residue is not strictly upper triangular")
+    a_coeff = [r0] + [m.action.coefficient_matrix(i)
+                      for i in range(1, horizon)]
+    g_parts, new_parts = gauge_by_orders(
+        a_coeff, 0, lam,
+        lambda mt, known: _solve_order(nil, known, values, lam, mt))
+    denominators = [labels[r].function() - labels[c].function()
+                    + ParamScalar.lam() * mt
+                    for mt, gm in g_parts.items() if mt
+                    for r in range(n) for c in range(n)
                     if not gm[r][c].is_zero()]
-        denominators.extend(labels[r].function() - labels[c].function()
-                            + ParamScalar.lam() * mt for r, c in inverted)
-        if inverted:
-            g_parts[mt] = gm
-        new_parts[mt] = new_mt
-    gauge = _assemble_series(g_parts, m.q, horizon)
-    new = _assemble_series(new_parts, m.q, horizon)
-    out = LambdaConnection(new, m.q, m.lambda0)
-    return out, gauge, denominators
-
-
-def _zero_mat(n):
-    return [[PS0 for _ in range(n)] for _ in range(n)]
+    gauge = series_from_parts(g_parts, 0, m.q, horizon)
+    new = series_from_parts(new_parts, 0, m.q, horizon)
+    return LambdaConnection(new, m.q, m.lambda0), gauge, denominators
 
 
 def _solve_order(nil, known, values, lam, mt):
     """Solve R0 G - G R0 + mt*z0*G = known - kept at one order, at z0.
 
     Entries with vanishing obstruction are kept in the matrix; the others
-    are eliminated.  The nilpotent part of R0 feeds back through a
-    finitely-terminating fixed-point iteration.
+    are eliminated.  The nilpotent part of R0 is strictly upper triangular
+    in the eigen-flag frame, so entry (r, c) only needs G entries below it
+    in its column and left of it in its row: one pass over the rows from
+    the bottom up, each from left to right, solves the order.
     """
     n = len(nil)
-    ob = [[values[r] - values[c] + lam * mt for c in range(n)]
-          for r in range(n)]
-    keep = [[ob[r][c].is_zero() for c in range(n)] for r in range(n)]
-    gm = _zero_mat(n)
-    new_mt = _zero_mat(n)
-    for _ in range(2 * n + 4):
-        comm1 = mat_mul(nil, gm)
-        comm2 = mat_mul(gm, nil)
-        changed = False
-        for r in range(n):
-            for c in range(n):
-                rhs = known[r][c] - comm1[r][c] + comm2[r][c]
-                if keep[r][c]:
-                    if not (new_mt[r][c] == rhs):
-                        new_mt[r][c] = rhs
-                        changed = True
-                else:
-                    sol = rhs / ob[r][c]
-                    if not (gm[r][c] == sol):
-                        gm[r][c] = sol
-                        changed = True
-        if not changed:
-            break
-    else:
-        raise InternalInvariantError("order elimination did not close")
+    gm = [[PS0 for _ in range(n)] for _ in range(n)]
+    new_mt = [[PS0 for _ in range(n)] for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        for c in range(n):
+            rhs = known[r][c]
+            for l in range(r + 1, n):
+                rhs = rhs - nil[r][l] * gm[l][c]
+            for l in range(c):
+                rhs = rhs + gm[r][l] * nil[l][c]
+            ob = values[r] - values[c] + lam * mt
+            if ob.is_zero():
+                new_mt[r][c] = rhs
+            else:
+                gm[r][c] = rhs / ob
     return gm, new_mt
-
-
-def _assemble_series(parts, q, horizon):
-    items = sorted(parts.items())
-    n = len(next(iter(parts.values())))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = {}
-            for idx, mat in items:
-                c = mat[i][j]
-                if not c.is_zero():
-                    coeffs[idx] = c
-            row.append(LaurentSeries(q, coeffs, horizon))
-        rows.append(row)
-    return LaurentMatrix(rows, q)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +654,6 @@ def v0_lattice_fiber_dim(conn: LambdaConnection) -> int:
 
 def regularity_test(conn: LambdaConnection, order=None) -> dict:
     """Three effective regularity criteria and their agreement flag."""
-    from .turrittin import formal_decompose, newton_polygon
     results = {}
     poly1 = newton_polygon(conn, lambda0=1, order=order)
     results["newton_polygon_at_1"] = poly1.is_regular()

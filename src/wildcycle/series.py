@@ -61,9 +61,6 @@ class LaurentSeries:
         return LaurentSeries.monomial(coeff, 0, q)
 
     # -- inspection ------------------------------------------------------
-    def is_exact(self) -> bool:
-        return self.trunc is None
-
     def support(self):
         return sorted(self.coeffs)
 
@@ -79,9 +76,6 @@ class LaurentSeries:
         if v is None:
             return _INF if self.trunc is None else self.trunc
         return v
-
-    def is_certified_zero(self) -> bool:
-        return not self.coeffs and self.trunc is None
 
     def is_zero_to_order(self) -> bool:
         return not self.coeffs

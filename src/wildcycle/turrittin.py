@@ -305,7 +305,7 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
         ctx.tick()
         k = m.pole_order()
         if k == 0:
-            return [(phi_acc, m)], _compose_gauges(gauges, m.rank, m.q)
+            return [(phi_acc, m)], compose_gauges(gauges, m.rank, m.q)
         cp = _leading_charpoly(m)
         roots, nonsplit = _roots_with_enlargement(cp, m, ctx)
         nilpotent = (len(roots) == 1 and roots[0][0].is_zero()
@@ -349,8 +349,9 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
         gauges.append(g)
         leaves1, g1 = _decompose_rec(m1, phi_acc, ctx)
         leaves2, g2 = _decompose_rec(m2, phi_acc, ctx)
-        total = _compose_gauges(gauges, m.rank, m.q)
-        return leaves1 + leaves2, total * _blockdiag([g1, g2], m.q)
+        total = compose_gauges(gauges, m.rank, m.q)
+        return (leaves1 + leaves2,
+                total * LaurentMatrix.block_diagonal([g1, g2], m.q))
 
 
 def _power(p: LPoly, e: int) -> LPoly:
@@ -360,24 +361,11 @@ def _power(p: LPoly, e: int) -> LPoly:
     return out
 
 
-def _compose_gauges(gauges, n, q) -> LaurentMatrix:
+def compose_gauges(gauges, n, q) -> LaurentMatrix:
     total = LaurentMatrix.identity_matrix(n, q)
     for g in gauges:
         total = total * g
     return total
-
-
-def _blockdiag(mats, q) -> LaurentMatrix:
-    n = sum(m.nrows for m in mats)
-    zero = LaurentSeries.zero(q)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
-    off = 0
-    for m in mats:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                rows[off + i][off + j] = m.rows[i][j]
-        off += m.nrows
-    return LaurentMatrix(rows, q)
 
 
 def _sylvester_split(m: LambdaConnection, p1: LPoly, p2: LPoly, order: int):
@@ -414,9 +402,45 @@ def _sylvester_split(m: LambdaConnection, p1: LPoly, p2: LPoly, order: int):
     syl12 = _sylvester_operator(blk1, blk2)
     syl21 = _sylvester_operator(blk2, blk1)
 
+    def solve_block(i, known):
+        # diagonal blocks of the new matrix; off-diagonal goes to G_i
+        new_i = [[known[r][c] if (r < n1) == (c < n1) else PS0
+                  for c in range(n)] for r in range(n)]
+        g12 = _solve_sylvester(syl12, [row[n1:] for row in known[:n1]],
+                               n1, n - n1)
+        g21 = _solve_sylvester(syl21, [row[:n1] for row in known[n1:]],
+                               n - n1, n1)
+        gi = ([[PS0] * n1 + row for row in g12]
+              + [row + [PS0] * (n - n1) for row in g21])
+        return gi, new_i
+
+    g_parts, new_parts = gauge_by_orders(a_coeff, k, lam, solve_block)
+    g_series = series_from_parts(g_parts, 0, m.q, t_sylv)
+    new_series = series_from_parts(new_parts, -k, m.q, t_sylv)
+    m1 = LambdaConnection(LaurentMatrix(
+        [[new_series.rows[i][j] for j in range(n1)] for i in range(n1)], m.q),
+        m.q, m.lambda0)
+    m2 = LambdaConnection(LaurentMatrix(
+        [[new_series.rows[i][j] for j in range(n1, n)] for i in range(n1, n)],
+        m.q), m.q, m.lambda0)
+    gauge = s_const * g_series
+    return m1, m2, gauge
+
+
+def gauge_by_orders(a_coeff, k: int, lam, solve_block):
+    """Order-by-order gauge G = sum_i G_i t^i, G_0 = I, taking A to B.
+
+    ``a_coeff[i]`` is the coefficient of t^(i-k) in A, below the horizon
+    len(a_coeff).  At order i the known part is A_i + z*(i-k)*G_{i-k}
+    - sum_{0<j<i} (G_j B_{i-j} - A_{i-j} G_j) (for k = 0 the feedback sits
+    at order i itself and belongs to the block solve), and
+    ``solve_block(i, known)`` returns (G_i, B_i).  Returns the nonzero G
+    parts and the B parts, keyed by i.
+    """
+    n = len(a_coeff[0])
     g_parts = {0: identity(n, PS1, PS0)}
     new_parts = {0: a_coeff[0]}
-    for i in range(1, t_sylv):
+    for i in range(1, len(a_coeff)):
         known = [row[:] for row in a_coeff[i]]
         if i - k >= 1 and (i - k) in g_parts:
             f = lam * Fraction(i - k)
@@ -433,40 +457,13 @@ def _sylvester_split(m: LambdaConnection, p1: LPoly, p2: LPoly, order: int):
             for r in range(n):
                 for c in range(n):
                     known[r][c] = known[r][c] - t1[r][c] + t2[r][c]
-        # diagonal blocks of the new matrix; off-diagonal goes to G_i
-        new_i = [[PS0 for _ in range(n)] for _ in range(n)]
-        for r in range(n):
-            for c in range(n):
-                if (r < n1) == (c < n1):
-                    new_i[r][c] = known[r][c]
-        k12 = [[known[r][c] for c in range(n1, n)] for r in range(n1)]
-        k21 = [[known[r][c] for c in range(n1)] for r in range(n1, n)]
-        g12 = _solve_sylvester(syl12, k12, n1, n - n1)
-        g21 = _solve_sylvester(syl21, k21, n - n1, n1)
-        gi = [[PS0 for _ in range(n)] for _ in range(n)]
-        for r in range(n1):
-            for c in range(n - n1):
-                gi[r][n1 + c] = g12[r][c]
-        for r in range(n - n1):
-            for c in range(n1):
-                gi[n1 + r][c] = g21[r][c]
+        gi, new_parts[i] = solve_block(i, known)
         if any(not x.is_zero() for row in gi for x in row):
             g_parts[i] = gi
-        new_parts[i] = new_i
-
-    g_series = _series_from_parts(g_parts, 0, m.q, t_sylv)
-    new_series = _series_from_parts(new_parts, -k, m.q, t_sylv)
-    m1 = LambdaConnection(LaurentMatrix(
-        [[new_series.rows[i][j] for j in range(n1)] for i in range(n1)], m.q),
-        m.q, m.lambda0)
-    m2 = LambdaConnection(LaurentMatrix(
-        [[new_series.rows[i][j] for j in range(n1, n)] for i in range(n1, n)],
-        m.q), m.q, m.lambda0)
-    gauge = s_const * g_series
-    return m1, m2, gauge
+    return g_parts, new_parts
 
 
-def _series_from_parts(parts, base_exp, q, index_end):
+def series_from_parts(parts, base_exp, q, index_end):
     """Assemble sum_i parts[i] t^(i+base_exp), certified below index_end."""
     items = sorted(parts.items())
     n = len(next(iter(parts.values())))
@@ -537,7 +534,7 @@ def verify_decomposition(conn: LambdaConnection, dec: FormalDecomposition) -> di
     for s in dec.summands:
         block = s.regular.twist_exponential(s.phi, sign=1)
         expected_blocks.append(block.action)
-    expected = _blockdiag(expected_blocks, m.q)
+    expected = LaurentMatrix.block_diagonal(expected_blocks, m.q)
     diff = transformed.action - expected
     off_residual = None
     diag_residual = None

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from wildcycle import cli
 from wildcycle.report import Report
 
 DOC_IRREGULAR = """\
@@ -131,6 +132,16 @@ def test_input_error_exit_one(tmp_path):
     assert res.returncode == 1
     data = json.loads(res.stdout)
     assert data["status"] == "input-error"
+
+
+def test_deep_nesting_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    entry = "(" * 3000 + "1" + ")" * 3000
+    path.write_text(f"rank: 1\nmatrix:\n{entry}\n")
+    assert cli.main(["decompose", "--input", str(path), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "input-error"
+    assert "nested deeper" in data["findings"][0]
 
 
 def test_unsupported_exit_two(tmp_path):

@@ -8,7 +8,7 @@ from wildcycle.cyclotomic import Cyc
 from wildcycle.document import InputDocument
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
-from wildcycle.parser import parse_expression
+from wildcycle.parser import MAX_NESTING, parse_expression
 
 
 def test_basic_expression():
@@ -22,6 +22,17 @@ def test_basic_expression():
 def test_parameter_coefficients():
     s = parse_expression("z^2*t^-1")
     assert s.coeff(-1) == ParamScalar.lam() ** 2
+
+
+def test_parenthesis_nesting_is_capped():
+    def nested(depth):
+        return "(" * depth + "1" + ")" * depth
+
+    value = parse_expression(nested(MAX_NESTING))
+    assert value.coeff(0) == ParamScalar.rational(1)
+    with pytest.raises(ParseError) as info:
+        parse_expression(nested(MAX_NESTING + 1))
+    assert info.value.column == MAX_NESTING + 1
 
 
 def test_fractional_power_rejected():
@@ -104,6 +115,10 @@ def test_document_shape_errors():
         InputDocument.parse(bad)
     with pytest.raises(ParseError):
         InputDocument.parse("rank: 1\nmatrix:\nt, 1\n")
+    for order in ("0", "-4"):
+        with pytest.raises(ParseError):
+            InputDocument.parse(DOC.replace("cyclotomic_order: 4",
+                                            f"cyclotomic_order: {order}"))
 
 
 def test_document_twist_header():
