@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 from .errors import WildcycleError
@@ -34,21 +35,83 @@ def totient(n: int) -> int:
     return out
 
 
-def _poly_divmod(num, den):
-    """Quotient/remainder of dense Fraction polynomials (lists, low first)."""
-    num = list(num)
+# ---------------------------------------------------------------------------
+# dense polynomials over a field: lists of coefficients, low degree first
+# ---------------------------------------------------------------------------
+#
+# One kernel serves Fraction, Cyc and ParamScalar coefficients: it needs only
+# + - * / and truthiness.  ``zero`` is the caller's zero.  A Cyc keeps its
+# order and its rendering depends on it, so the zero a sum starts from, and
+# skipping zero products, decide the order a coefficient is stored at.
+
+
+def poly_trim(a) -> list:
+    """``a`` without trailing zeros, keeping at least one coefficient."""
+    a = list(a)
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_add(a, b, zero) -> list:
+    return poly_trim(x + y for x, y in zip_longest(a, b, fillvalue=zero))
+
+
+def poly_sub(a, b, zero) -> list:
+    return poly_trim(x - y for x, y in zip_longest(a, b, fillvalue=zero))
+
+
+def poly_mul(a, b, zero) -> list:
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return poly_trim(out)
+
+
+def poly_divmod(num, den, zero):
+    """(quotient, remainder) with num = quotient*den + remainder and
+    deg remainder < deg den; ``den`` is trimmed and nonzero."""
+    rem = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    quo = [Q0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        quo[i - dd] = c
+    quo = [zero] * max(1, len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] / lead
         if c:
+            quo[i - dd] = c
             for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quo, num
+                rem[i - dd + j] = rem[i - dd + j] - c * den[j]
+    return quo, poly_trim(rem[:dd]) or [zero]
+
+
+def poly_gcd(a, b, zero) -> list:
+    """Monic greatest common divisor; ``[zero]`` when both are zero."""
+    a, b = poly_trim(a), poly_trim(b)
+    while any(b):
+        a, b = b, poly_divmod(a, b, zero)[1]
+    if not any(a):
+        return [zero]
+    return [c / a[-1] for c in a]
+
+
+def interpolate(points, values, zero) -> list:
+    """Lagrange interpolation: the polynomial of degree < len(points) that
+    takes ``values`` at the distinct rational ``points``."""
+    coeffs = [zero] * len(points)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        basis, denom = [Q1], Q1
+        for j, xj in enumerate(points):
+            if j != i:
+                basis = poly_mul(basis, [-xj, Q1], Q0)
+                denom *= xi - xj
+        scale = yi / denom
+        for k, b in enumerate(basis):
+            if b:
+                coeffs[k] = coeffs[k] + scale * b
+    return poly_trim(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -61,17 +124,30 @@ def cyclotomic_polynomial(n: int) -> tuple:
     den = [Q1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            new = [Q0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-            den = new
-    quo, rem = _poly_divmod(num, den)
-    if len(rem) != 1 or rem[0] != 0:
+            den = poly_mul(den, cyclotomic_polynomial(d), Q0)
+    quo, rem = poly_divmod(num, den, Q0)
+    if any(rem):
         raise WildcycleError(f"cyclotomic division failed for n={n}")
     return tuple(quo)
+
+
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple:
+    """Tr(zeta_n^k)/phi(n) = mu(m)/phi(m), m = n/gcd(k, n), for k < phi(n)."""
+    ms = [n // gcd(k, n) for k in range(totient(n))]
+    return tuple(Fraction(_mobius(m), totient(m)) for m in ms)
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +190,7 @@ def _reduce(n: int, coeffs) -> tuple:
             # rare: fall back to explicit remainder
             tail = [Q0] * (k + 1)
             tail[k] = c
-            _, rem = _poly_divmod(tail, list(cyclotomic_polynomial(n)))
+            _, rem = poly_divmod(tail, cyclotomic_polynomial(n), Q0)
             for j, r in enumerate(rem):
                 out[j] += r
     return tuple(out)
@@ -235,19 +311,13 @@ class Cyc:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return Cyc.rational(1 / self.coeffs[0], self.order)
-        phi = list(cyclotomic_polynomial(self.order))
-        a = list(self.coeffs)
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
         # extended euclid: s*a + t*phi = g
-        r0, r1 = a, phi
+        r0, r1 = poly_trim(self.coeffs), cyclotomic_polynomial(self.order)
         s0, s1 = [Q1], [Q0]
-        while not (len(r1) == 1 and r1[0] == 0):
-            q, r = _poly_divmod(r0, r1)
-            qs = _poly_mul(q, s1)
-            s = _poly_sub(s0, qs)
+        while any(r1):
+            q, r = poly_divmod(r0, r1, Q0)
             r0, r1 = r1, r
-            s0, s1 = s1, s
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, Q0), Q0)
         g = r0
         if len(g) != 1:
             raise WildcycleError("gcd with cyclotomic polynomial not constant")
@@ -323,10 +393,10 @@ class Cyc:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        # hash via canonical lift-invariant data: value at minimal support
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        # Tr(x)/phi(N) does not change when x is lifted to a larger order,
+        # and for a rational x it is x itself
+        weights = _trace_weights(self.order)
+        return hash(sum(c * w for c, w in zip(self.coeffs, weights) if c))
 
     def __bool__(self):
         return not self.is_zero()
@@ -374,23 +444,3 @@ class Cyc:
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
-
-def _poly_mul(a, b):
-    out = [Q0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out if out else [Q0]
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Q0] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out

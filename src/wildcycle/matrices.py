@@ -164,15 +164,17 @@ def nilpotent_jordan_chains(mat, one, zero):
     """Jordan chains of a nilpotent matrix, longest first.
 
     Returns a list of chains; each chain is [v, Nv, N^2 v, ...] written as
-    column vectors, with the last element in the kernel.
+    column vectors, with the last element in the kernel.  Raises
+    :class:`WildcycleError` when N^n is not zero.
     """
     n = len(mat)
     powers = [identity(n, one, zero)]
-    while True:
-        nxt = mat_mul(powers[-1], mat)
-        powers.append(nxt)
-        if all(_iszero(x) for row in nxt for x in row):
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], mat))
+        if all(_iszero(x) for row in powers[-1] for x in row):
             break
+    else:
+        raise WildcycleError("matrix is not nilpotent")
     nil_index = len(powers) - 1
     # flag space via ker N^k
     kernels = [const_kernel(powers[k], one, zero) for k in

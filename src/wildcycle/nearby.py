@@ -230,8 +230,8 @@ def _certified_rank(mat: LaurentMatrix) -> int:
         used_rows.add(pivot)
         rank += 1
         lead = work[pivot][col]
-        inv = lead.invert((8 if lead.trunc is None else lead.trunc)
-                          - 2 * min(0, pv))
+        # a pivot of valuation pv is certified to invert only trunc - 2*pv
+        inv = lead.invert((8 if lead.trunc is None else lead.trunc) - 2 * pv)
         for i in range(nrows):
             if i != pivot and i not in used_rows:
                 f = work[i][col]

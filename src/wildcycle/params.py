@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, poly_add, poly_divmod, poly_gcd, poly_mul
 from .errors import DenominatorVanishes, WildcycleError
+
+# The zero LPoly arithmetic starts from; Cyc values are never mutated, so one
+# instance serves every call.
+C0 = Cyc.zero()
 
 
 def _as_cyc(value) -> Cyc:
@@ -69,13 +73,7 @@ class LPoly:
     def __add__(self, other):
         if not isinstance(other, LPoly):
             other = LPoly.constant(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else Cyc.zero()
-            b = other.coeffs[i] if i < len(other.coeffs) else Cyc.zero()
-            out.append(a + b)
-        return LPoly(out)
+        return LPoly(poly_add(self.coeffs, other.coeffs, C0))
 
     __radd__ = __add__
 
@@ -93,34 +91,15 @@ class LPoly:
     def __mul__(self, other):
         if not isinstance(other, LPoly):
             other = LPoly.constant(other)
-        out = [Cyc.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return LPoly(out)
+        return LPoly(poly_mul(self.coeffs, other.coeffs, C0))
 
     __rmul__ = __mul__
 
     def divmod(self, other: "LPoly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.degree()
-        lead = other.leading()
-        if self.degree() < dd:
-            return LPoly.constant(0), self
-        quo = [Cyc.zero() for _ in range(self.degree() - dd + 1)]
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] / lead
-            if c.is_zero():
-                continue
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                rem[i - dd + j] = rem[i - dd + j] - c * other.coeffs[j]
-        return LPoly(quo), LPoly(rem[:dd] if dd > 0 else [Cyc.zero()])
+        quo, rem = poly_divmod(self.coeffs, other.coeffs, C0)
+        return LPoly(quo), LPoly(rem)
 
     def monic(self) -> "LPoly":
         if self.is_zero():
@@ -129,13 +108,7 @@ class LPoly:
         return LPoly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "LPoly") -> "LPoly":
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return LPoly.constant(0)
-        return a.monic()
+        return LPoly(poly_gcd(self.coeffs, other.coeffs, C0))
 
     def derivative(self) -> "LPoly":
         if len(self.coeffs) == 1:

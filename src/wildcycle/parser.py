@@ -13,7 +13,8 @@ Values are exact Laurent polynomials in the series variable with
 coefficients polynomial (or rational, via '/') in the parameter.  Division
 is allowed when the divisor is free of the series variable; a fractional
 power raises :class:`UnsupportedExponent` (declare ramification in the
-document header instead).  Parentheses nest at most ``MAX_NESTING`` deep.
+document header instead).  Parentheses nest at most ``MAX_NESTING`` deep,
+and an exponent is at most ``MAX_EXPONENT`` in absolute value.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ _SYMBOLS = "+-*/^()"
 # Deepest parenthesis nesting accepted.  Each level costs five frames of
 # recursion, so this stays far below the interpreter's default limit.
 MAX_NESTING = 100
+
+# Largest absolute exponent accepted.  A power costs one multiplication per
+# unit of exponent, so this bounds the work a one-line document can ask for:
+# (1+t+z)^32 parses in about 0.4 s on a 2-vCPU host.
+MAX_EXPONENT = 32
 
 
 def _tokenize(src: str):
@@ -165,7 +171,13 @@ class ExpressionParser:
         value = self._atom()
         if self._peek().kind == "^":
             self._next()
+            exp_tok = self._peek()
             exponent = self._exponent()
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {exponent} exceeds {MAX_EXPONENT} in absolute "
+                    "value", exp_tok.line, exp_tok.column,
+                    expected=[f"exponent of at most {MAX_EXPONENT}"])
             value = self._raise(value, exponent, base_tok)
         return value
 

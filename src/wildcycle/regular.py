@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import LambdaConnection
-from .cyclotomic import Cyc, lcm
+from .cyclotomic import Cyc, interpolate, lcm, poly_divmod
 from .errors import (DenominatorVanishes, InternalInvariantError,
                      NotStarShaped, UnsupportedAlgebraicExtension,
                      WildcycleError)
@@ -41,43 +41,12 @@ from .exponents import ComplexExponent, ell, exponent_from_eigenvalue, star
 from .matrices import (Echelon, LaurentMatrix, charpoly, const_is_nilpotent,
                        const_kernel, const_rank, identity, mat_mul,
                        nilpotent_jordan_chains)
-from .params import LPoly, ParamScalar, PS0, PS1
+from .params import C0, LPoly, ParamScalar, PS0, PS1
 from .reduction import charpoly_slopes, saturate_lattice
 from .roots import roots_in_field
 from .series import LaurentSeries
 from .turrittin import (compose_gauges, formal_decompose, gauge_by_orders,
                         newton_polygon, series_from_parts)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in X over ParamScalar (residue spectra)
-# ---------------------------------------------------------------------------
-
-
-def _psx_divmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    if all(x.is_zero() for x in num):
-        return [PS0], [PS0]
-    quo = [PS0] * max(1, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / lead
-        if not c.is_zero():
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] = num[i - dd + j] - c * den[j]
-    while len(num) > 1 and num[-1].is_zero():
-        num.pop()
-    return quo, num
-
-
-def set_dedup(items):
-    out = []
-    for x in items:
-        if not any(x == y for y in out):
-            out.append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +104,15 @@ def residue_spectrum(r0, norder: int):
                 raise UnsupportedAlgebraicExtension(
                     "residue eigenvalues leave the cyclotomic field",
                     min_poly=nonsplit[0][0].render("X"))
-            root_sets.append(set_dedup([r for r, _ in roots]))
+            root_sets.append(list(dict.fromkeys(r for r, _ in roots)))
         hit = None
         for r0_ in root_sets[0]:
             for r1_ in root_sets[1]:
                 for r2_ in root_sets[2]:
-                    cand = _interp_quadratic(r0_, r1_, r2_)
-                    quo, rem = _psx_divmod(remaining, [-cand, PS1])
-                    if all(x.is_zero() for x in rem):
+                    cand = ParamScalar(LPoly(interpolate(
+                        [0, 1, 2], [r0_, r1_, r2_], C0)))
+                    quo, rem = poly_divmod(remaining, [-cand, PS1], PS0)
+                    if not any(rem):
                         hit = (cand, quo)
                         break
                 if hit:
@@ -155,8 +125,8 @@ def residue_spectrum(r0, norder: int):
         cand, remaining = hit
         mult = 1
         while len(remaining) > 1:
-            quo, rem = _psx_divmod(remaining, [-cand, PS1])
-            if all(x.is_zero() for x in rem):
+            quo, rem = poly_divmod(remaining, [-cand, PS1], PS0)
+            if not any(rem):
                 mult += 1
                 remaining = quo
             else:
@@ -166,13 +136,6 @@ def residue_spectrum(r0, norder: int):
         offset = beta_shifted.beta_re - norm.beta_re
         found.append((EigenLabel(norm, int(offset), Fraction(shift)), mult))
     return found
-
-
-def _interp_quadratic(v0: Cyc, v1: Cyc, v2: Cyc) -> ParamScalar:
-    a = v0
-    c = (v2 - v1 * 2 + v0) / 2
-    b = v1 - v0 - c
-    return ParamScalar(LPoly([a, b, c]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +173,7 @@ class RegularModel:
         return len(self.matrix)
 
     def classes(self):
-        betas = set_dedup([b.label.cls() for b in self.blocks])
+        betas = list(dict.fromkeys(b.label.cls() for b in self.blocks))
         betas.sort(key=lambda b: (ell(b, self.lambda0), b.beta_re, b.beta_im))
         return betas
 
@@ -516,7 +479,7 @@ def monodromy_filtration(nil):
 
     Returns (weight_dims, primitive_dims, chains) where chains are Jordan
     chains [v, Nv, ...]; a chain of length s carries weights s-1, s-3, ...,
-    1-s.  Raises :class:`NotNilpotent`-style errors via the caller's check.
+    1-s.  Raises :class:`WildcycleError` when ``nil`` is not nilpotent.
     """
     n = len(nil)
     if n == 0:

@@ -10,76 +10,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .cyclotomic import Cyc, cyclotomic_polynomial, totient
+from .cyclotomic import (Q0, Cyc, _reduce, cyclotomic_polynomial, interpolate,
+                         poly_divmod, poly_gcd, poly_trim, totient)
 from .errors import WildcycleError
 from .params import LPoly
 
 
-def _q_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _q_poly_mod(f, g):
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and any(f):
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        c = f[-1] / g[-1]
-        shift = len(f) - 1 - dg
-        for j in range(dg + 1):
-            f[shift + j] -= c * g[j]
-        f.pop()
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _q_resultant(f, g) -> Fraction:
     """Resultant of two rational polynomials (lists, low first)."""
-    f = list(f)
-    g = list(g)
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    while len(g) > 1 and g[-1] == 0:
-        g.pop()
+    f, g = poly_trim(f), poly_trim(g)
     df, dg = len(f) - 1, len(g) - 1
     if df == 0:
         return f[0] ** dg
     if dg == 0:
         return g[0] ** df
-    r = _q_poly_mod(f, g)
+    _, r = poly_divmod(f, g, Q0)
     dr = len(r) - 1 if any(r) else -1
     if dr < 0:
         return Fraction(0)
     sign = Fraction(-1) ** (df * dg)
     return sign * g[-1] ** (df - dr) * _q_resultant(g, r)
-
-
-def _interpolate(points, values):
-    """Lagrange interpolation over Q; returns coefficient list, low first."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = _q_poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= Fraction(xi - xj)
-        scale = yi / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -109,49 +61,19 @@ def factor_rational_poly(coeffs):
     return out
 
 
-def _cyc_to_ypoly(c: Cyc, order: int):
-    """Coefficient vector of c in Q[y]/Phi_order, as rational list."""
-    lifted = c.lift(order)
-    return [Fraction(f) for f in lifted.coeffs]
-
-
-def _add_ypow(target, power, value, order):
-    """Add value*y^power into a Q[y]-vector reduced mod Phi_order."""
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    if power < deg:
-        target[power] += value
-        return
-    vec = [Fraction(0)] * (power + 1)
-    vec[power] = value
-    rem = _q_poly_mod(vec, list(phi))
-    for k, c in enumerate(rem):
-        target[k] += c
-
-
-def _binomials(n):
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
 def _shifted_bivariate(poly: LPoly, order: int, shift: int):
     """Expansion of S(X - shift*y) as Q[y]-coefficients per X-degree."""
     deg = poly.degree()
-    phi_deg = totient(order)
-    out = [[Fraction(0)] * phi_deg for _ in range(deg + 1)]
-    for i in range(deg + 1):
-        cy = _cyc_to_ypoly(poly.coeffs[i], order)
-        row = _binomials(i)
-        for j in range(i + 1):
-            power = i - j
-            factor = Fraction(row[j]) * Fraction(-shift) ** power
-            if not factor:
-                continue
-            for a, ca in enumerate(cy):
-                if ca:
-                    _add_ypow(out[j], a + power, ca * factor, order)
+    cys = [c.lift(order).coeffs for c in poly.coeffs]
+    out = []
+    for j in range(deg + 1):
+        raw = [Q0] * (totient(order) + deg - j)
+        for i in range(j, deg + 1):
+            factor = comb(i, j) * Fraction(-shift) ** (i - j)
+            if factor:
+                for a, ca in enumerate(cys[i]):
+                    raw[a + i - j] += ca * factor
+        out.append(_reduce(order, raw))
     return out
 
 
@@ -172,7 +94,7 @@ def _norm_poly(poly: LPoly, order: int, shift: int):
                     ypoly[a] += ca * xp
             xp *= x0
         values.append(_q_resultant(ypoly, phi))
-    return _interpolate(points, values)
+    return interpolate(points, values, Q0)
 
 
 def _rational_to_lpoly(coeffs, order: int) -> LPoly:
@@ -244,8 +166,7 @@ def _factor_squarefree(poly: LPoly, order: int):
         norm = _norm_poly(poly, order, shift)
         # squarefree test over Q
         d = [norm[k] * k for k in range(1, len(norm))]
-        g = _q_gcd(norm, d)
-        if len(g) - 1 > 0:
+        if len(poly_gcd(norm, d, Q0)) > 1:
             continue
         factors = []
         for cs, _ in factor_rational_poly(norm):
@@ -258,20 +179,6 @@ def _factor_squarefree(poly: LPoly, order: int):
             continue
         return factors
     raise WildcycleError("Trager factorization failed to find a good shift")
-
-
-def _q_gcd(f, g):
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    while any(g):
-        f, g = g, _q_poly_mod(f, g)
-        while len(g) > 1 and g[-1] == 0:
-            g.pop()
-        if len(g) == 1 and g[0] == 0:
-            break
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
 
 
 def roots_in_field(poly: LPoly, order: int):

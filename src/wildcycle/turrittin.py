@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .connection import ExpFactor, LambdaConnection
 from .cyclotomic import Cyc, lcm, totient
@@ -340,8 +340,8 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
         # several eigenvalue groups: split the first root off the rest
         c0 = roots[0][0]
         norder = ctx.field_order
-        p1 = LPoly([-c0.lift(norder), Cyc.one(norder)])
-        p1 = _power(p1, roots[0][1])
+        p1 = prod([LPoly([-c0.lift(norder), Cyc.one(norder)])] * roots[0][1],
+                  start=LPoly.constant(Cyc.one()))
         p2, rem = LPoly([c.lift(norder) for c in cp.coeffs]).divmod(p1)
         if not rem.is_zero():
             raise InternalInvariantError("characteristic polynomial division failed")
@@ -352,13 +352,6 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
         total = compose_gauges(gauges, m.rank, m.q)
         return (leaves1 + leaves2,
                 total * LaurentMatrix.block_diagonal([g1, g2], m.q))
-
-
-def _power(p: LPoly, e: int) -> LPoly:
-    out = LPoly.constant(Cyc.one())
-    for _ in range(e):
-        out = out * p
-    return out
 
 
 def compose_gauges(gauges, n, q) -> LaurentMatrix:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 from wildcycle import cli
+from wildcycle.parser import MAX_EXPONENT
 from wildcycle.report import Report
 
 DOC_IRREGULAR = """\
@@ -142,6 +143,15 @@ def test_deep_nesting_is_an_input_error(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "input-error"
     assert "nested deeper" in data["findings"][0]
+
+
+def test_exponent_over_the_cap_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "power.txt"
+    path.write_text(f"rank: 1\nmatrix:\nz^-{MAX_EXPONENT + 1}\n")
+    assert cli.main(["decompose", "--input", str(path), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "input-error"
+    assert "exceeds" in data["findings"][0]
 
 
 def test_unsupported_exit_two(tmp_path):

@@ -1,19 +1,21 @@
 """The irregular nearby-cycle table and its transformation rules."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wildcycle.connection import ExpFactor, LambdaConnection
-from wildcycle.corpus import build_corpus
+from wildcycle.corpus import _conjugate, build_corpus
 from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import (InternalInvariantError, NotStarShaped,
                               WildcycleError)
 from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
-from wildcycle.nearby import (_certified_rank, deligne_nearby_cycles,
-                              is_t_irreducible, ramification_transport,
-                              regular_part, tables_equal)
+from wildcycle.nearby import (DeligneTable, _certified_rank,
+                              deligne_nearby_cycles, is_t_irreducible,
+                              ramification_transport, regular_part,
+                              tables_equal)
 from wildcycle.params import PS1
 from wildcycle.series import LaurentSeries
 
@@ -232,3 +234,20 @@ def test_restricted_connection_is_read_at_its_own_point(regular_cases):
     # star(beta) of a non-real exponent is not visible in values at one point
     with pytest.raises(NotStarShaped):
         deligne_nearby_cycles(regular_cases["reg-rank2-imag"].restrict_lambda(1))
+
+
+def test_sum_of_parts_at_different_ramification_levels():
+    # orbits at levels 2 and 1 send regular_part through its projector,
+    # whose certified ranks invert pivots of positive valuation
+    trunc = 8
+    elem = (LambdaConnection.trivial(1, 2, 2 * trunc)
+            .twist_exponential(ExpFactor(2, {1: 1}), 1).pushforward())
+    reg = conn([[const(star(B3), 1, trunc)]])
+    total = _conjugate(elem.direct_sum(reg), random.Random(5), trunc)
+    table = deligne_nearby_cycles(total)
+    parts = [deligne_nearby_cycles(elem), deligne_nearby_cycles(reg)]
+    expected = DeligneTable(entries=[e for p in parts for e in p.entries],
+                            base_ramification=1, represented_rank=3,
+                            lambda0=table.lambda0, q_used=table.q_used)
+    assert tables_equal(table, expected)
+    assert [len(e.rows) for e in table.entries] == [1, 2]

@@ -8,7 +8,7 @@ from wildcycle.cyclotomic import Cyc
 from wildcycle.document import InputDocument
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
-from wildcycle.parser import MAX_NESTING, parse_expression
+from wildcycle.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
 
 
 def test_basic_expression():
@@ -33,6 +33,17 @@ def test_parenthesis_nesting_is_capped():
     with pytest.raises(ParseError) as info:
         parse_expression(nested(MAX_NESTING + 1))
     assert info.value.column == MAX_NESTING + 1
+
+
+def test_exponent_is_capped():
+    assert parse_expression(f"t^{MAX_EXPONENT}").valuation() == MAX_EXPONENT
+    assert parse_expression(f"z^-{MAX_EXPONENT}").coeff(0) == \
+        ParamScalar.lam() ** -MAX_EXPONENT
+    for text in (f"t^{MAX_EXPONENT + 1}", f"z^-{MAX_EXPONENT + 1}",
+                 f"t^(-{MAX_EXPONENT + 1})"):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text)
+        assert info.value.column == 3
 
 
 def test_fractional_power_rejected():

@@ -176,6 +176,13 @@ def test_monodromy_zero_matrix():
     assert wd == {0: 3} and pd == {0: 3}
 
 
+def test_monodromy_rejects_a_matrix_that_is_not_nilpotent():
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    for mat in ([[Cyc.one()]], swap):
+        with pytest.raises(WildcycleError, match="not nilpotent"):
+            monodromy_filtration(mat)
+
+
 def test_monodromy_all_jordan_types_to_dim5():
     for d in range(1, 6):
         for part in partitions(d):

@@ -39,6 +39,20 @@ def test_field_axioms_associativity(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
+@given(cyclotomic_elements(), st.integers(min_value=1, max_value=6))
+def test_hash_is_invariant_under_lifting(a, m):
+    assert hash(a) == hash(a.lift(a.order * m))
+
+
+def test_equal_scalars_hash_alike():
+    a, b = Cyc.zeta(4), Cyc.zeta(8, 2)
+    assert a == b and len({a, b}) == 1
+    assert len({LPoly([1, a]), LPoly([1, b])}) == 1
+    assert len({ParamScalar.of(a), ParamScalar.of(b)}) == 1
+    assert hash(Cyc.rational(Fraction(3, 7), 12)) == hash(Fraction(3, 7))
+
+
+@settings(max_examples=60, deadline=None)
 @given(cyclotomic_elements())
 def test_field_axioms_inverse(a):
     if not a.is_zero():
