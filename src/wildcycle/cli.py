@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .document import InputDocument, _factor_expression
+from .document import MAX_TRUNCATION, InputDocument, _factor_expression
 from .errors import (InsufficientTruncation, InternalInvariantError,
                      NonTerminating, ParseError,
                      UnsupportedAlgebraicExtension, WildcycleError)
@@ -128,16 +128,27 @@ def _section_decomposition(report, conn, doc):
             "phi_level": s.phi.q,
             "rank": s.rank,
         })
+    bound = required_truncation(conn.rank, conn.pole_order(), conn.q,
+                                doc.truncation)
     report.sections["decomposition"] = {
         "q_input": dec.q_input,
         "relative_ramification": dec.rel_ramification,
         "q_used": dec.q_used,
         "summands": summands,
         "certified_order": dec.certified_order,
-        "required_truncation_bound": required_truncation(
-            conn.rank, conn.pole_order(), conn.q, doc.truncation),
+        "required_truncation_bound": bound,
     }
+    if bound > MAX_TRUNCATION:
+        report.findings.append(f"required_truncation_bound: {bound}"
+                               + _cap_note(bound))
     return dec
+
+
+def _cap_note(truncation: int) -> str:
+    """Says when a truncation the report names is one the CLI refuses."""
+    if truncation <= MAX_TRUNCATION:
+        return ""
+    return f" (above the truncation cap {MAX_TRUNCATION})"
 
 
 def _section_mellin(report, doc):
@@ -181,14 +192,7 @@ def main(argv=None) -> int:
         print(f"wildcycle: cannot read input: {exc}", file=sys.stderr)
         return 1
     try:
-        doc = InputDocument.parse(text)
-        if args.truncation is not None:
-            if args.truncation < 1:
-                raise ParseError("truncation must be positive")
-            doc.truncation = args.truncation
-            doc.matrix_entries = [
-                [x.truncate(doc.truncation * doc.ramification) for x in row]
-                for row in doc.matrix_entries]
+        doc = InputDocument.parse(text, truncation=args.truncation)
         lam0 = None
         if args.lambda0 is not None:
             lam0 = doc._scalar(args.lambda0, 0)
@@ -203,7 +207,8 @@ def main(argv=None) -> int:
     except (UnsupportedAlgebraicExtension, InsufficientTruncation) as exc:
         findings = [f"{type(exc).__name__}: {exc}"]
         if isinstance(exc, InsufficientTruncation) and exc.required:
-            findings.append(f"required truncation: {exc.required}")
+            findings.append(f"required truncation: {exc.required}"
+                            + _cap_note(exc.required))
         if isinstance(exc, UnsupportedAlgebraicExtension) and exc.min_poly:
             findings.append(f"minimal polynomial: {exc.min_poly}")
         report = Report(command=args.command, status="unsupported",

@@ -1,9 +1,20 @@
-"""Exact arithmetic in cyclotomic-rational fields Q(zeta_N).
+"""Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored reduced modulo the N-th cyclotomic polynomial Phi_N, so
-the coefficient vector has length phi(N).  Binary operations between elements
-of different orders lift both to the lcm; the lift zeta_N -> zeta_M^(M/N) is
-injective and compatible with arithmetic.
+An element is stored as integers: phi(N) numerators on the power basis
+1, zeta_N, ..., zeta_N^(phi(N)-1) over one positive denominator, always in
+lowest terms, so equal elements of one order have equal fields and the ring
+operations build no Fraction.  Sums add integers slot by slot; products
+scale by a rational or convolve the numerators.
+
+There is one reduction modulo the N-th cyclotomic polynomial Phi_N,
+``_fold``.  Phi_N is monic with integer coefficients and zeta_N^N = 1, so
+x^k reduces like x^(k mod N), and an integer table of the remainders of
+x^phi(N), ..., x^(N-1) covers every power.  Binary operations between
+elements of different orders lift both to the lcm; the lift
+zeta_N -> zeta_M^(M/N) is injective and compatible with arithmetic.
+
+The module also holds the dense polynomial kernel that Fraction, Cyc and
+ParamScalar coefficients share.
 """
 
 from __future__ import annotations
@@ -151,69 +162,108 @@ def _trace_weights(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple:
-    """x^k mod Phi_n for k = 0 .. 2*phi(n), as coefficient tuples."""
-    phi = cyclotomic_polynomial(n)
+def _fold_rows(n: int) -> tuple:
+    """x^k mod Phi_n for phi(n) <= k < n, as sparse integer rows ((j, c), ...).
+
+    Phi_n is monic with integer coefficients, so every remainder is integral.
+    """
+    phi = [int(c) for c in cyclotomic_polynomial(n)]
     deg = len(phi) - 1
     rows = []
-    cur = [Q1]
-    for _ in range(2 * deg + 1):
-        rows.append(tuple(cur) + (Q0,) * (deg - len(cur)))
-        cur = [Q0] + cur
-        if len(cur) > deg:
-            c = cur[deg]
-            if c:
-                cur = [cur[j] - c * phi[j] for j in range(deg)]
-            else:
-                cur = cur[:deg]
-        while len(cur) > 1 and cur[-1] == 0:
-            cur.pop()
+    cur = [0] * (deg - 1) + [1]
+    for _ in range(deg, n):
+        # multiply by x and replace x^deg by -(Phi_n - x^deg)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
     return tuple(rows)
 
 
-def _reduce(n: int, coeffs) -> tuple:
-    """Reduce an arbitrary coefficient list modulo Phi_n."""
-    deg = totient(n)
-    table = _power_table(n)
-    out = [Q0] * deg
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k < deg:
-            out[k] += c
-        elif k < len(table):
-            row = table[k]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
-        else:
-            # rare: fall back to explicit remainder
-            tail = [Q0] * (k + 1)
-            tail[k] = c
-            _, rem = poly_divmod(tail, cyclotomic_polynomial(n), Q0)
-            for j, r in enumerate(rem):
-                out[j] += r
+def _fold(n: int, deg: int, vec) -> tuple:
+    """The integer vector ``vec`` (coefficients of 1, x, x^2, ...) modulo
+    Phi_n, as ``deg`` = phi(n) integers: the one reduction of this module.
+
+    x^n = 1 in Q(zeta_n), so index k first folds onto k mod n; the indices
+    phi(n) <= k < n are then rewritten with the rows of ``_fold_rows``.
+    """
+    if len(vec) > n:
+        acc = [0] * n
+        for k, c in enumerate(vec):
+            acc[k % n] += c
+        vec = acc
+    out = list(vec[:deg])
+    if len(out) < deg:
+        out += [0] * (deg - len(out))
+    for row, c in zip(_fold_rows(n), vec[deg:]):
+        if c:
+            for j, r in row:
+                out[j] += c * r
     return tuple(out)
 
 
-class Cyc:
-    """An element of Q(zeta_N), reduced modulo Phi_N."""
+_new = object.__new__
 
-    __slots__ = ("order", "coeffs")
+
+def _raw(order: int, nums: tuple, den: int) -> "Cyc":
+    """A Cyc from numerators and a denominator already in lowest terms."""
+    out = _new(Cyc)
+    out.order = order
+    out.nums = nums
+    out.den = den
+    return out
+
+
+def _make(order: int, nums: tuple, den: int) -> "Cyc":
+    """A Cyc from integer numerators over a positive ``den``, in lowest
+    terms.  The zero element is stored as all zeros over 1."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple([x // g for x in nums])
+        den //= g
+    return _raw(order, nums, den)
+
+
+@lru_cache(maxsize=None)
+def _zero_tail(order: int) -> tuple:
+    return (0,) * (totient(order) - 1)
+
+
+class Cyc:
+    """An element of Q(zeta_N): ``nums``/``den`` on the power basis.
+
+    ``nums`` is a tuple of phi(N) integers and ``den`` a positive integer
+    with gcd(den, *nums) == 1, so the element is
+    sum_k nums[k]/den * zeta_N^k.  The constructor takes rational
+    coefficients of any length and reduces them modulo Phi_N; the ring
+    operations build their results from integers directly.  ``coeffs`` is
+    the same vector as Fractions, for callers that are not on a hot path.
+    """
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
-        self.order = order
-        deg = totient(order)
-        cs = tuple(coeffs)
-        if len(cs) != deg:
-            cs = _reduce(order, cs)
-        self.coeffs = cs
+        fracs = [Fraction(c) for c in coeffs]
+        den = 1
+        for f in fracs:
+            den = lcm(den, f.denominator)
+        vec = [f.numerator * (den // f.denominator) for f in fracs]
+        made = _make(order, _fold(order, totient(order), vec), den)
+        self.order, self.nums, self.den = order, made.nums, made.den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def rational(a, order: int = 1) -> "Cyc":
-        deg = totient(order)
-        return Cyc(order, (Fraction(a),) + (Q0,) * (deg - 1))
+        if type(a) is int:
+            return _raw(order, (a,) + _zero_tail(order), 1)
+        f = a if isinstance(a, Fraction) else Fraction(a)
+        return _raw(order, (f.numerator,) + _zero_tail(order), f.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "Cyc":
@@ -226,9 +276,9 @@ class Cyc:
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyc":
         power %= order
-        coeffs = [Q0] * (power + 1)
-        coeffs[power] = Q1
-        return Cyc(order, coeffs)
+        vec = [0] * (power + 1)
+        vec[power] = 1
+        return _raw(order, _fold(order, totient(order), vec), 1)
 
     @staticmethod
     def imaginary_unit(order: int = 4) -> "Cyc":
@@ -246,12 +296,16 @@ class Cyc:
         if order % self.order != 0:
             raise WildcycleError(
                 f"cannot embed Q(zeta_{self.order}) into Q(zeta_{order})")
+        nums = self.nums
+        if not any(nums[1:]):
+            return _raw(order, nums[:1] + _zero_tail(order), self.den)
         step = order // self.order
-        out = [Q0] * (totient(self.order) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] += c
-        return Cyc(order, _reduce(order, out))
+        vec = [0] * ((len(nums) - 1) * step + 1)
+        vec[::step] = nums
+        # Z[zeta_M] meets Q(zeta_N) in Z[zeta_N], so a common factor of the
+        # lifted numerators and den would already divide nums: lowest terms
+        # are kept
+        return _raw(order, _fold(order, totient(order), vec), self.den)
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -261,47 +315,61 @@ class Cyc:
         n = lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
 
+    def _scaled(self, p: int, q: int) -> "Cyc":
+        """self * p/q for integers p and q."""
+        if q <= 0:
+            if not q:
+                raise ZeroDivisionError("cyclotomic division by zero")
+            p, q = -p, -q
+        return _make(self.order, tuple([x * p for x in self.nums]),
+                     self.den * q)
+
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
         a, b = self._pair(other)
-        return Cyc(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if not any(b.nums):
+            return a
+        if not any(a.nums):
+            return b
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.order, tuple([x + y for x, y in zip(a.nums, b.nums)]),
+                         da)
+        return _make(a.order,
+                     tuple([x * db + y * da for x, y in zip(a.nums, b.nums)]),
+                     da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, tuple(-x for x in self.coeffs))
+        return _raw(self.order, tuple([-x for x in self.nums]), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyc(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyc(self.order, tuple(c * f for c in self.coeffs))
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         a, b = self._pair(other)
         # rational fast paths dominate in practice
         if a.is_rational():
-            f = a.coeffs[0]
-            if not f:
-                return Cyc.zero(b.order)
-            return Cyc(b.order, tuple(c * f for c in b.coeffs))
+            return b._scaled(a.nums[0], a.den)
         if b.is_rational():
-            f = b.coeffs[0]
-            if not f:
-                return Cyc.zero(a.order)
-            return Cyc(a.order, tuple(c * f for c in a.coeffs))
-        deg = len(a.coeffs)
-        conv = [Q0] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
+            return a._scaled(b.nums[0], b.den)
+        an, bn = a.nums, b.nums
+        deg = len(an)
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(bn, i):
                     if y:
-                        conv[i + j] += x * y
-        return Cyc(a.order, _reduce(a.order, conv))
+                        conv[j] += x * y
+        return _make(a.order, _fold(a.order, deg, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -310,7 +378,7 @@ class Cyc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
-            return Cyc.rational(1 / self.coeffs[0], self.order)
+            return Cyc.one(self.order)._scaled(self.den, self.nums[0])
         # extended euclid: s*a + t*phi = g
         r0, r1 = poly_trim(self.coeffs), cyclotomic_polynomial(self.order)
         s0, s1 = [Q1], [Q0]
@@ -321,13 +389,13 @@ class Cyc:
         g = r0
         if len(g) != 1:
             raise WildcycleError("gcd with cyclotomic polynomial not constant")
-        inv = [c / g[0] for c in s0]
-        return Cyc(self.order, _reduce(self.order, inv))
+        return Cyc(self.order, [c / g[0] for c in s0])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyc(self.order, tuple(c / f for c in self.coeffs))
+        if isinstance(other, int):
+            return self._scaled(1, other)
+        if isinstance(other, Fraction):
+            return self._scaled(other.denominator, other.numerator)
         a, b = self._pair(other)
         return a * b.inverse()
 
@@ -352,11 +420,11 @@ class Cyc:
         n = self.order
         if n <= 2:
             return self
-        out = [Q0] * n
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(n - k) % n] += c
-        return Cyc(n, _reduce(n, out))
+        vec = [0] * n
+        for k, x in enumerate(self.nums):
+            vec[-k] = x
+        # an automorphism of Z[zeta_N]: lowest terms are kept
+        return _raw(n, _fold(n, len(self.nums), vec), self.den)
 
     def real_part(self) -> "Cyc":
         return (self + self.conjugate()) / 2
@@ -368,15 +436,15 @@ class Cyc:
         return (a - a.conjugate()) / (2 * Cyc.imaginary_unit(n))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise WildcycleError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -385,29 +453,38 @@ class Cyc:
         return (self + self.conjugate()).is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other, 1)
+        if isinstance(other, int):
+            return (self.den == 1 and self.nums[0] == other
+                    and self.is_rational())
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator and self.is_rational())
         if not isinstance(other, Cyc):
             return NotImplemented
+        # lifting keeps lowest terms, so equal elements share a denominator
+        if self.den != other.den:
+            return False
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums
 
     def __hash__(self):
         # Tr(x)/phi(N) does not change when x is lifted to a larger order,
         # and for a rational x it is x itself
         weights = _trace_weights(self.order)
-        return hash(sum(c * w for c, w in zip(self.coeffs, weights) if c))
+        return hash(sum((x * w for x, w in zip(self.nums, weights) if x), Q0)
+                    / self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     # -- rendering ------------------------------------------------------
     def render(self) -> str:
         """Exact human-readable string, e.g. '1/2 + 3/4*i' or 'zeta^2'."""
         if self.is_rational():
-            return str(self.coeffs[0])
+            return str(self.as_fraction())
+        coeffs = self.coeffs
         if self.order == 4:
-            re, im = self.coeffs[0], self.coeffs[1]
+            re, im = coeffs
             parts = []
             if re:
                 parts.append(str(re))
@@ -421,7 +498,7 @@ class Cyc:
             text = " + ".join(parts).replace("+ -", "- ")
             return text if text else "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if not c:
                 continue
             if k == 0:

@@ -31,6 +31,16 @@ from .parser import parse_expression
 from .series import LaurentSeries
 
 
+# Largest rank and truncation a document may declare.  The work grows
+# steeply with both: on a 2-vCPU host CLI decompose of the README 2x2
+# example takes 1.0, 1.9, 3.0 and 6.9 s at truncation 24, 48, 64 and 96,
+# and of a bidiagonal example with poles of order 2 at truncation 12 takes
+# 6.4, 24 and 68 s at rank 8, 12 and 16.  A truncation derived from the
+# matrix is held to the same cap.
+MAX_RANK = 12
+MAX_TRUNCATION = 64
+
+
 @dataclass
 class InputDocument:
     tvar: str = "t"
@@ -38,7 +48,7 @@ class InputDocument:
     cyclotomic_order: int = 4
     rank: int = 1
     ramification: int = 1
-    truncation: int = 0       # 0: derive 8 * rank * max(1, pole) * q
+    truncation: int = 0       # 0: derive 8 * rank * max(1, pole)
     matrix_entries: list = field(default_factory=list)  # parsed LaurentSeries
     lambda0_points: list = field(default_factory=list)  # Cyc values
     twist: object = None                                # ExpFactor or None
@@ -48,7 +58,8 @@ class InputDocument:
 
     # -- parsing ----------------------------------------------------------
     @classmethod
-    def parse(cls, text: str) -> "InputDocument":
+    def parse(cls, text: str, truncation=None) -> "InputDocument":
+        """Parse a document; a given ``truncation`` replaces its own."""
         doc = cls()
         headers = {}
         matrix_lines = []
@@ -70,6 +81,11 @@ class InputDocument:
                 continue
             headers[key] = (lineno, value.strip())
         doc._apply_headers(headers)
+        if truncation is not None:
+            if not 1 <= truncation <= MAX_TRUNCATION:
+                raise ParseError("truncation override must be between 1 and "
+                                 f"{MAX_TRUNCATION}")
+            doc.truncation = truncation
         doc._parse_matrix(matrix_lines)
         doc._parse_extras(headers)
         return doc
@@ -94,6 +110,15 @@ class InputDocument:
         if self.rank < 1 or self.ramification < 1 or self.truncation < 0:
             raise ParseError("rank, ramification and truncation are positive",
                              1, 1)
+        if self.rank > MAX_RANK:
+            raise ParseError(f"rank {self.rank} exceeds {MAX_RANK}",
+                             headers["rank"][0], 1,
+                             expected=[f"rank of at most {MAX_RANK}"])
+        if self.truncation > MAX_TRUNCATION:
+            raise ParseError(
+                f"truncation {self.truncation} exceeds {MAX_TRUNCATION}",
+                headers["truncation"][0], 1,
+                expected=[f"truncation of at most {MAX_TRUNCATION}"])
         if self.cyclotomic_order < 1:
             raise ParseError("cyclotomic_order must be at least 1",
                              headers["cyclotomic_order"][0], 1)
@@ -144,7 +169,13 @@ class InputDocument:
                     v = x.valuation()
                     if v is not None and v < -pole:
                         pole = -v
-            self.truncation = 8 * self.rank * max(1, pole)
+            derived = 8 * self.rank * max(1, pole)
+            if derived > MAX_TRUNCATION:
+                raise ParseError(
+                    f"derived truncation {derived} (8 * rank * pole order) "
+                    f"exceeds {MAX_TRUNCATION}", matrix_lines[0][0], 1,
+                    expected=[f"truncation header of at most {MAX_TRUNCATION}"])
+            self.truncation = derived
         self.matrix_entries = [
             [x.truncate(self.truncation * self.ramification) for x in row]
             for row in rows]
@@ -178,14 +209,22 @@ class InputDocument:
             parts = [p.strip() for p in value.split(",")]
             if len(parts) not in (1, 2):
                 raise ParseError("mellin_beta is 're' or 're, im'", lineno, 1)
-            re = Fraction(parts[0])
-            im = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)
+            try:
+                re = Fraction(parts[0])
+                im = Fraction(parts[1]) if len(parts) == 2 else Fraction(0)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError("mellin_beta parts are rationals", lineno,
+                                 1) from exc
             out["beta"] = (re, im)
         for key, name in (("mellin_ell", "ell"), ("mellin_kprime", "kprime"),
                           ("mellin_ksecond", "ksecond")):
             if key in raw:
                 lineno, value = raw[key]
-                out[name] = int(value)
+                try:
+                    out[name] = int(value)
+                except ValueError as exc:
+                    raise ParseError(f"{key} must be an integer", lineno,
+                                     1) from exc
         if "mellin_phi" in raw:
             lineno, value = raw["mellin_phi"]
             series = parse_expression(value, q=self.ramification,

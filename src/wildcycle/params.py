@@ -31,7 +31,7 @@ def _lpoly_is_one(p: "LPoly") -> bool:
     if len(p.coeffs) != 1:
         return False
     c = p.coeffs[0]
-    return c.is_rational() and c.coeffs[0] == 1
+    return c.den == 1 and c.nums[0] == 1 and not any(c.nums[1:])
 
 
 class LPoly:
@@ -177,7 +177,7 @@ class ParamScalar:
                 if g.degree() > 0:
                     num, _ = num.divmod(g)
                     den, _ = den.divmod(g)
-            if not den.is_constant() or not den.leading() == Cyc.one():
+            if not _lpoly_is_one(den):
                 lead = den.leading()
                 num = num * LPoly.constant(lead.inverse())
                 den = den * LPoly.constant(lead.inverse())

@@ -14,7 +14,8 @@ coefficients polynomial (or rational, via '/') in the parameter.  Division
 is allowed when the divisor is free of the series variable; a fractional
 power raises :class:`UnsupportedExponent` (declare ramification in the
 document header instead).  Parentheses nest at most ``MAX_NESTING`` deep,
-and an exponent is at most ``MAX_EXPONENT`` in absolute value.
+an exponent is at most ``MAX_EXPONENT`` in absolute value, and an integer
+literal has at most ``MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class _Token:
 
 
 _SYMBOLS = "+-*/^()"
+# ASCII only: str.isdigit() also accepts characters such as '²' that int()
+# rejects.
+_DIGITS = "0123456789"
 
 # Deepest parenthesis nesting accepted.  Each level costs five frames of
 # recursion, so this stays far below the interpreter's default limit.
@@ -46,6 +50,11 @@ MAX_NESTING = 100
 # unit of exponent, so this bounds the work a one-line document can ask for:
 # (1+t+z)^32 parses in about 0.4 s on a 2-vCPU host.
 MAX_EXPONENT = 32
+
+# Most digits an integer literal may have.  This keeps every literal under
+# the interpreter's 4,300-digit limit for int(); the README example with
+# 1,000-digit coefficients decomposes in about 2 s on a 2-vCPU host.
+MAX_DIGITS = 1000
 
 
 def _tokenize(src: str):
@@ -68,10 +77,15 @@ def _tokenize(src: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal of {j - i} digits exceeds {MAX_DIGITS} "
+                    "digits", line, col,
+                    expected=[f"integer of at most {MAX_DIGITS} digits"])
             tokens.append(_Token("int", src[i:j], line, col))
             col += j - i
             i = j

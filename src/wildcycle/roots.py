@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .cyclotomic import (Q0, Cyc, _reduce, cyclotomic_polynomial, interpolate,
+from .cyclotomic import (Q0, Cyc, cyclotomic_polynomial, interpolate,
                          poly_divmod, poly_gcd, poly_trim, totient)
 from .errors import WildcycleError
 from .params import LPoly
@@ -62,7 +62,8 @@ def factor_rational_poly(coeffs):
 
 
 def _shifted_bivariate(poly: LPoly, order: int, shift: int):
-    """Expansion of S(X - shift*y) as Q[y]-coefficients per X-degree."""
+    """Expansion of S(X - shift*y) as Q[y]-coefficients per X-degree,
+    each reduced modulo Phi_order (through ``Cyc``) to phi(order) Fractions."""
     deg = poly.degree()
     cys = [c.lift(order).coeffs for c in poly.coeffs]
     out = []
@@ -73,7 +74,7 @@ def _shifted_bivariate(poly: LPoly, order: int, shift: int):
             if factor:
                 for a, ca in enumerate(cys[i]):
                     raw[a + i - j] += ca * factor
-        out.append(_reduce(order, raw))
+        out.append(Cyc(order, raw).coeffs)
     return out
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, lcm
 from .errors import InsufficientTruncation, WildcycleError
-from .params import ParamScalar
+from .params import PS0, PS1, ParamScalar
 
 _INF = float("inf")
 
@@ -164,7 +164,8 @@ class LaurentSeries:
         return LaurentSeries(self.q, {n + k: c for n, c in self.coeffs.items()}, t)
 
     def invert(self, order: int) -> "LaurentSeries":
-        """Inverse, certified to exponent < order (in t_q-units)."""
+        """Inverse of a series of valuation v, certified to exponent
+        < min(order, trunc - v) - v (in t_q-units)."""
         v = self.valuation()
         if v is None:
             raise WildcycleError("cannot invert a series that is zero to order")
@@ -174,23 +175,23 @@ class LaurentSeries:
                 raise InsufficientTruncation(
                     f"inversion certified only to order {avail}, need {order}",
                     required=order + 2 * v)
-        c0 = self.coeffs[v]
-        c0i = c0.inverse()
-        # h = c0^-1 t^-v f - 1 has valuation >= 1
-        h = (self * c0i).shift(-v) - 1
-        h = h.truncate(order)
-        out = LaurentSeries.one(self.q, order)
-        term = LaurentSeries.one(self.q, order)
-        k = 1
-        while True:
-            term = (term * h).truncate(order)
-            if term.is_zero_to_order():
-                break
-            out = out + (term if k % 2 == 0 else -term)
-            k += 1
-            if k > order + 2:
-                break
-        return (out * c0i).shift(-v).truncate(order - v if order is not None else None)
+        c0i = self.coeffs[v].inverse()
+        # h = c0^-1 t^-v f - 1 has valuation >= 1, and u = 1/(1 + h) is
+        # known below h.trunc: u_0 = 1, u_k = -sum_{i=1..k} h_i u_{k-i}
+        h = ((self * c0i).shift(-v) - 1).truncate(order)
+        terms = sorted(h.coeffs.items())
+        u = [PS1]
+        for k in range(1, h.trunc):
+            acc = None
+            for i, hi in terms:
+                if i > k:
+                    break
+                if u[k - i]:
+                    prod = hi * u[k - i]
+                    acc = prod if acc is None else acc + prod
+            u.append(PS0 if acc is None else -acc)
+        out = LaurentSeries(self.q, dict(enumerate(u)), h.trunc)
+        return (out * c0i).shift(-v)
 
     def truncate(self, order) -> "LaurentSeries":
         if order is None:

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from wildcycle import cli
+from wildcycle.document import MAX_RANK, MAX_TRUNCATION
 from wildcycle.parser import MAX_EXPONENT
 from wildcycle.report import Report
 
@@ -135,23 +138,76 @@ def test_input_error_exit_one(tmp_path):
     assert data["status"] == "input-error"
 
 
+def run_in_process(tmp_path, capsys, doc, *args):
+    path = tmp_path / "doc.txt"
+    path.write_text(doc)
+    code = cli.main(["decompose", "--input", str(path), "--json", *args])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def input_error_finding(tmp_path, capsys, doc, *args):
+    code, data = run_in_process(tmp_path, capsys, doc, *args)
+    assert code == 1 and data["status"] == "input-error"
+    return data["findings"][0]
+
+
 def test_deep_nesting_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "deep.txt"
     entry = "(" * 3000 + "1" + ")" * 3000
-    path.write_text(f"rank: 1\nmatrix:\n{entry}\n")
-    assert cli.main(["decompose", "--input", str(path), "--json"]) == 1
-    data = json.loads(capsys.readouterr().out)
-    assert data["status"] == "input-error"
-    assert "nested deeper" in data["findings"][0]
+    doc = f"rank: 1\nmatrix:\n{entry}\n"
+    assert "nested deeper" in input_error_finding(tmp_path, capsys, doc)
 
 
 def test_exponent_over_the_cap_is_an_input_error(tmp_path, capsys):
-    path = tmp_path / "power.txt"
-    path.write_text(f"rank: 1\nmatrix:\nz^-{MAX_EXPONENT + 1}\n")
-    assert cli.main(["decompose", "--input", str(path), "--json"]) == 1
-    data = json.loads(capsys.readouterr().out)
-    assert data["status"] == "input-error"
-    assert "exceeds" in data["findings"][0]
+    doc = f"rank: 1\nmatrix:\nz^-{MAX_EXPONENT + 1}\n"
+    assert "exceeds" in input_error_finding(tmp_path, capsys, doc)
+
+
+BIG = MAX_RANK + 1
+OVER_THE_CAPS = [
+    pytest.param("rank: 1\nmatrix:\n" + "9" * 5000 + "\n", (), "digits",
+                 id="integer-digits"),
+    pytest.param("rank: 1\nmatrix:\nt^" + "9" * 5000 + "\n", (), "digits",
+                 id="exponent-digits"),
+    pytest.param(DOC_IRREGULAR.replace(
+        "truncation: 10", f"truncation: {MAX_TRUNCATION + 1}"), (),
+        f"truncation {MAX_TRUNCATION + 1} exceeds", id="truncation-header"),
+    pytest.param(DOC_IRREGULAR, ("--truncation", str(MAX_TRUNCATION + 1)),
+                 "truncation override", id="truncation-option"),
+    # 8 * rank * pole order with pole order 9
+    pytest.param("rank: 1\nmatrix:\nt^-9\n", (), "derived truncation 72",
+                 id="derived-truncation"),
+    pytest.param(f"rank: {BIG}\nmatrix:\n" + "\n".join(
+        ", ".join("0" for _ in range(BIG)) for _ in range(BIG)) + "\n", (),
+        f"rank {BIG} exceeds", id="rank"),
+    pytest.param("rank: 1\nmellin_beta: x\nmatrix:\n0\n", (), "mellin_beta",
+                 id="mellin-header"),
+]
+
+
+@pytest.mark.parametrize("doc, args, words", OVER_THE_CAPS)
+def test_over_the_caps_is_an_input_error(tmp_path, capsys, doc, args, words):
+    assert words in input_error_finding(tmp_path, capsys, doc, *args)
+
+
+def test_truncation_override_replaces_the_header(tmp_path, capsys):
+    # above the header's 8, and in place of the derived truncation 72
+    for doc in (DOC_REGULAR, "rank: 1\nmatrix:\nt^-9\n"):
+        code, data = run_in_process(tmp_path, capsys, doc, "--truncation", "12")
+        assert code == 0 and data["sections"]["input"]["truncation"] == 12
+    code, data = run_in_process(tmp_path, capsys, DOC_REGULAR,
+                                "--truncation", "12")
+    assert data["sections"]["decomposition"]["certified_order"] == 12
+
+
+def test_bound_over_the_cap_is_flagged(tmp_path, capsys):
+    code, data = run_in_process(tmp_path, capsys, DOC_REGULAR,
+                                "--truncation", "60")
+    bound = data["sections"]["decomposition"]["required_truncation_bound"]
+    assert code == 0 and bound > MAX_TRUNCATION
+    assert data["findings"] == [f"required_truncation_bound: {bound} (above "
+                                f"the truncation cap {MAX_TRUNCATION})"]
+    code, data = run_in_process(tmp_path, capsys, DOC_REGULAR)
+    assert code == 0 and data["findings"] == []
 
 
 def test_unsupported_exit_two(tmp_path):

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from wildcycle.cyclotomic import Cyc
-from wildcycle.document import InputDocument
+from wildcycle.document import MAX_RANK, MAX_TRUNCATION, InputDocument
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
-from wildcycle.parser import MAX_EXPONENT, MAX_NESTING, parse_expression
+from wildcycle.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
+                              parse_expression)
 
 
 def test_basic_expression():
@@ -154,3 +155,49 @@ t^-1 + t^2
     assert conn.q == 2
     assert conn.action.rows[0][0].valuation() == -1
     assert conn.guaranteed_order == 16
+
+
+def test_integer_literals_are_capped():
+    assert parse_expression("9" * MAX_DIGITS).coeff(0) == \
+        ParamScalar.rational(10 ** MAX_DIGITS - 1)
+    # 5,000 digits is past the interpreter's limit for int()
+    for src in ("9" * 5000, "t^" + "9" * 5000, "t^(-" + "9" * 5000 + ")",
+                "1 + " + "9" * (MAX_DIGITS + 1)):
+        with pytest.raises(ParseError, match="digits"):
+            parse_expression(src)
+    with pytest.raises(ParseError, match="column 5"):
+        parse_expression("1 + " + "9" * 5000)
+
+
+def test_non_ascii_digits_are_rejected():
+    # '²'.isdigit() holds, but int('²') raises
+    for src in ("t^\u00b2", "\u00b2", "\u0663"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_expression(src)
+
+
+def test_rank_and_truncation_are_capped():
+    at_cap = DOC.replace("truncation: 10", f"truncation: {MAX_TRUNCATION}")
+    assert InputDocument.parse(at_cap).truncation == MAX_TRUNCATION
+    with pytest.raises(ParseError, match="truncation"):
+        InputDocument.parse(DOC.replace("truncation: 10",
+                                        f"truncation: {MAX_TRUNCATION + 1}"))
+    big = MAX_RANK + 1
+    rows = "\n".join(", ".join("0" for _ in range(big)) for _ in range(big))
+    with pytest.raises(ParseError, match="rank"):
+        InputDocument.parse(f"rank: {big}\nmatrix:\n{rows}\n")
+    # a derived truncation 8 * rank * pole is held to the same cap, and an
+    # explicit truncation takes its place
+    over = f"rank: 1\nmatrix:\nt^-{MAX_EXPONENT}\n"
+    with pytest.raises(ParseError, match="derived truncation"):
+        InputDocument.parse(over)
+    assert InputDocument.parse(over, truncation=10).truncation == 10
+    for bad in (0, MAX_TRUNCATION + 1):
+        with pytest.raises(ParseError, match="truncation override"):
+            InputDocument.parse(DOC, truncation=bad)
+
+
+def test_malformed_mellin_headers():
+    for header in ("mellin_beta: x", "mellin_beta: 1/0", "mellin_ell: two"):
+        with pytest.raises(ParseError, match="mellin"):
+            InputDocument.parse(f"rank: 1\n{header}\nmatrix:\n0\n")

@@ -1,11 +1,13 @@
 """Field axioms and embeddings for the scalar tower."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wildcycle.cyclotomic import Cyc, cyclotomic_polynomial, totient
+from wildcycle.cyclotomic import (Q0, Cyc, cyclotomic_polynomial, lcm,
+                                  poly_divmod, totient)
 from wildcycle.errors import DenominatorVanishes
 from wildcycle.params import LPoly, ParamScalar
 
@@ -122,3 +124,134 @@ def test_lpoly_divmod_gcd():
     assert r.is_zero()
     g = p.gcd(p.derivative())
     assert g == (x - 2)
+
+
+# -- the integer representation against a Fraction reference ---------------
+#
+# A reference element is (order, coordinates as Fractions), reduced by long
+# division by Phi_N: independent of the integer fold table.
+
+INT_ORDERS = [1, 3, 4, 5, 8, 12]
+
+
+def ref_reduce(order, coeffs):
+    _, rem = poly_divmod(list(coeffs) or [Q0], cyclotomic_polynomial(order),
+                         Q0)
+    return order, tuple(rem) + (Q0,) * (totient(order) - len(rem))
+
+
+def ref_lift(ref, order):
+    n, cs = ref
+    step = order // n
+    raw = [Q0] * ((len(cs) - 1) * step + 1)
+    for k, c in enumerate(cs):
+        raw[k * step] = c
+    return ref_reduce(order, raw)
+
+
+def ref_pair(x, y):
+    n = lcm(x[0], y[0])
+    return ref_lift(x, n), ref_lift(y, n)
+
+
+def ref_add(x, y, sign=1):
+    (n, a), (_, b) = ref_pair(x, y)
+    return n, tuple(p + sign * q for p, q in zip(a, b))
+
+
+def ref_mul(x, y):
+    (n, a), (_, b) = ref_pair(x, y)
+    conv = [Q0] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            conv[i + j] += p * q
+    return ref_reduce(n, conv)
+
+
+def ref_conjugate(ref):
+    n, cs = ref
+    raw = [Q0] * n
+    for k, c in enumerate(cs):
+        raw[(n - k) % n] += c
+    return ref_reduce(n, raw)
+
+
+def ref_of(c):
+    return c.order, tuple(Fraction(x, c.den) for x in c.nums)
+
+
+def assert_canonical(c):
+    assert all(type(x) is int for x in c.nums) and type(c.den) is int
+    assert c.den > 0
+    assert gcd(c.den, *c.nums) == 1
+    assert len(c.nums) == totient(c.order)
+
+
+@st.composite
+def raw_elements(draw):
+    """(Cyc, reference) from rational coefficients of any length up to 2N+1,
+    so the constructor folds powers past N."""
+    order = draw(st.sampled_from(INT_ORDERS))
+    coeffs = draw(st.lists(small_rationals, max_size=2 * order + 1))
+    return Cyc(order, coeffs), ref_reduce(order, coeffs)
+
+
+def check(c, ref):
+    assert_canonical(c)
+    assert ref_of(c) == ref
+
+
+def test_every_power_of_zeta_folds():
+    for order in INT_ORDERS:
+        for k in range(3 * order + 1):
+            power = [Q0] * k + [Fraction(1)]
+            check(Cyc(order, power), ref_reduce(order, power))
+            check(Cyc.zeta(order, k), ref_reduce(order, power))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_elements(), raw_elements())
+def test_integer_form_agrees_with_fraction_reference(xa, yb):
+    (x, xr), (y, yr) = xa, yb
+    check(x, xr)
+    check(y, yr)
+    check(x + y, ref_add(xr, yr))
+    check(x - y, ref_add(xr, yr, -1))
+    check(-x, ref_add((x.order, (Q0,) * totient(x.order)), xr, -1))
+    check(x * y, ref_mul(xr, yr))
+    check(x.conjugate(), ref_conjugate(xr))
+    m = lcm(x.order, y.order) * 2
+    check(x.lift(m), ref_lift(xr, m))
+    one = ref_reduce(x.order, [Fraction(1)])
+    f = Fraction(-3, 4)
+    check(x * f, ref_mul(xr, ref_reduce(1, [f])))
+    check(x / 6, ref_mul(xr, ref_reduce(1, [Fraction(1, 6)])))
+    for zero in (0, Q0, Cyc.zero(y.order)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert ref_mul(xr, ref_of(inv)) == one
+        q = y / x
+        assert_canonical(q)
+        assert ref_mul(ref_of(q), xr) == ref_lift(yr, q.order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_elements(), st.sampled_from([1, 2, 3, 5]))
+def test_equal_values_at_different_orders(xa, m):
+    x, _ = xa
+    y = x.lift(x.order * m)
+    assert x == y and y == x and hash(x) == hash(y)
+    assert (x - y).is_zero() and not (x - y)
+    if x.is_rational():
+        assert x == x.as_fraction() and hash(x) == hash(x.as_fraction())
+    assert (x + 1 == y) is False
+
+
+def test_zero_order_decides_rendering():
+    i = Cyc.imaginary_unit()
+    assert (Cyc.zero(12) + i).render() == "zeta^3"
+    assert (Cyc.zero() + i).render() == "i"
+    assert (Cyc.zero(12) + i).order == 12 and (Cyc.zero() + i).order == 4

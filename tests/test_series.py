@@ -50,6 +50,30 @@ def test_inversion_respects_truncation():
     assert inv.trunc == 4
 
 
+def test_inversion_does_not_overstate_a_negative_valuation():
+    # 1/(t^-2 + O(t^10)) = t^2 + O(t^14): the t^13 coefficient depends on
+    # the unknown t^9 coefficient of the input
+    f = series({-2: 1}, trunc=10)
+    g = series({-2: 1, 9: 1}, trunc=10)
+    assert f.invert(14).trunc == g.invert(14).trunc == 14
+    assert g.invert(14).coeff(13) == Fraction(-1)
+    assert series({-2: 1}).invert(14).trunc == 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-3, 3),
+       st.dictionaries(st.integers(1, 7), st.integers(-5, 5).map(Fraction),
+                       max_size=4),
+       st.integers(1, 3))
+def test_inverse_times_series_is_one(v, tail, lead):
+    f = series({v: lead, **{v + k: c for k, c in tail.items()}}, trunc=v + 9)
+    order = f.trunc - 2 * v
+    inv = f.invert(order)
+    assert inv.trunc == min(f.trunc - 2 * v, order - v)
+    prod = f * inv
+    assert prod.agrees_with(LaurentSeries.one(1, prod.trunc))
+
+
 def test_coefficients_beyond_window_refused():
     f = series({0: 1}, trunc=3)
     with pytest.raises(InsufficientTruncation):

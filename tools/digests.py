@@ -1,0 +1,127 @@
+"""Per-case SHA-256 digests of the engine's answers, printed as JSON.
+
+Two checkouts that print the same JSON give the same answers on the corpus:
+the formal decomposition and its verification of every case (as given, and
+restricted to z = 0 and z = 1), the Deligne table at z0 in {1, 2, i}, and
+the ``--json`` reports of the seven CLI commands on the README example.
+The corpus is ``build_corpus(11, trunc=6)``, all 24 cases.
+A call that raises is recorded as its exception type and message instead
+of a digest, so an error that appears, moves or goes away shows up too.
+Standard library only.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 tools/digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from wildcycle import cli
+from wildcycle.corpus import build_corpus
+from wildcycle.cyclotomic import Cyc
+from wildcycle.nearby import deligne_nearby_cycles
+from wildcycle.turrittin import formal_decompose, verify_decomposition
+
+# The README's slope-one example, with the headers the twist and mellin
+# commands read.
+README_DOC = """\
+# slope-one example
+variables: t z
+cyclotomic_order: 4
+rank: 2
+ramification: 1
+truncation: 12
+lambda0: 1, 0
+twist: t^-1
+mellin_beta: -1/3, 1/2
+mellin_ell: 2
+mellin_kprime: 1
+mellin_ksecond: 1
+matrix:
+0, 1
+t^-2, 0
+"""
+CLI_COMMANDS = [["decompose"], ["verify"], ["nearby"], ["regularity"],
+                ["ramify", "--order", "2"], ["twist"], ["mellin"]]
+NEARBY_POINTS = [("1", Cyc.rational(1)), ("2", Cyc.rational(2)),
+                 ("i", Cyc.imaginary_unit())]
+
+
+def digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def guarded(fn):
+    """(value, None), or (None, "error: <exception type>: <message>")."""
+    try:
+        return fn(), None
+    except Exception as exc:  # an error is an answer too
+        return None, f"error: {type(exc).__name__}: {exc}"
+
+
+def decomposition_view(dec) -> dict:
+    return {"rel_ramification": dec.rel_ramification,
+            "certified_order": dec.certified_order,
+            "summands": [[s.phi.render(), s.regular.action.render()]
+                         for s in dec.summands],
+            "gauge": dec.gauge.render()}
+
+
+def decompose_and_verify(conn, suffix: str, out: dict):
+    dec, err = guarded(lambda: formal_decompose(conn))
+    out["decompose" + suffix] = err or digest(decomposition_view(dec))
+    if dec is not None:
+        ver, err = guarded(lambda: verify_decomposition(conn, dec))
+        out["verify" + suffix] = err or digest(ver)
+
+
+def case_digests(case) -> dict:
+    conn = case.connection
+    out = {}
+    decompose_and_verify(conn, "", out)
+    for z in (0, 1):
+        restricted, err = guarded(lambda: conn.restrict_lambda(z))
+        if err:
+            out[f"decompose@{z}"] = err
+        else:
+            decompose_and_verify(restricted, f"@{z}", out)
+    for label, point in NEARBY_POINTS:
+        table, err = guarded(lambda: deligne_nearby_cycles(conn, point))
+        out[f"nearby@{label}"] = err or digest(table.as_json())
+    return out
+
+
+def cli_digests() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "readme.wc")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(README_DOC)
+        for command in CLI_COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(command + ["--input", path, "--json"])
+            out[" ".join(command)] = digest([code, buf.getvalue()])
+    return out
+
+
+def main() -> int:
+    result = {"cli": cli_digests()}
+    for case in build_corpus(11, trunc=6):
+        result[case.name] = case_digests(case)
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
