@@ -73,13 +73,18 @@ def poly_sub(a, b, zero) -> list:
 
 
 def poly_mul(a, b, zero) -> list:
-    out = [zero] * (len(a) + len(b) - 1)
+    """Each slot starts from its first nonzero product, and ``zero`` fills
+    only the slots no product reaches.  A zero of order 1 adds as the
+    identity, so with it the stored orders are those of a sum seeded with
+    ``zero``, without lifting the zero."""
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
+                    k = i + j
+                    out[k] = x * y if out[k] is None else out[k] + x * y
+    return poly_trim(zero if c is None else c for c in out)
 
 
 def poly_divmod(num, den, zero):

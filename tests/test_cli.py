@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from wildcycle import cli
-from wildcycle.document import MAX_RANK, MAX_TRUNCATION
+from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
+                                MAX_TRUNCATION)
 from wildcycle.parser import MAX_EXPONENT
 from wildcycle.report import Report
 
@@ -47,6 +48,24 @@ twist: t^-1
 twist_sign: -1
 matrix:
 0
+"""
+
+# The README's slope-one example, with the headers twist and mellin read.
+DOC_README = """\
+variables: t z
+cyclotomic_order: 4
+rank: 2
+ramification: 1
+truncation: 12
+lambda0: 1, 0
+twist: t^-1
+mellin_beta: -1/3, 1/2
+mellin_ell: 2
+mellin_kprime: 1
+mellin_ksecond: 1
+matrix:
+0, 1
+t^-2, 0
 """
 
 DOC_BAD = "rank: x\nmatrix:\n0\n"
@@ -131,6 +150,25 @@ def test_verify_command(tmp_path):
     assert data["sections"]["verification"]["pass"] is True
 
 
+def test_commands_do_not_load_sympy(tmp_path):
+    path = tmp_path / "readme.txt"
+    path.write_text(DOC_README)
+    commands = [["decompose"], ["verify"], ["nearby"], ["regularity"],
+                ["ramify", "--order", "2"], ["twist"], ["mellin"]]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from wildcycle import cli",
+        f"for argv in {commands!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        code = cli.main(argv + ['--input', {str(path)!r}, '--json'])",
+        "    assert code == 0, (argv, code)",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_input_error_exit_one(tmp_path):
     res = run_cli(tmp_path, DOC_BAD, "decompose", "--json")
     assert res.returncode == 1
@@ -181,6 +219,12 @@ OVER_THE_CAPS = [
         f"rank {BIG} exceeds", id="rank"),
     pytest.param("rank: 1\nmellin_beta: x\nmatrix:\n0\n", (), "mellin_beta",
                  id="mellin-header"),
+    pytest.param(f"rank: 1\nramification: {MAX_RAMIFICATION + 1}\nmatrix:\n0\n",
+                 (), f"ramification {MAX_RAMIFICATION + 1} exceeds",
+                 id="ramification"),
+    pytest.param("rank: 1\nmellin_beta: 1/2\nmellin_ell: 100000\nmatrix:\n0\n",
+                 (), f"mellin_ell 100000 exceeds {MAX_MELLIN_POWER}",
+                 id="mellin-ell"),
 ]
 
 

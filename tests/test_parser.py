@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wildcycle.cyclotomic import Cyc
-from wildcycle.document import MAX_RANK, MAX_TRUNCATION, InputDocument
+from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
+                                MAX_TRUNCATION, InputDocument)
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
 from wildcycle.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
@@ -201,3 +202,22 @@ def test_malformed_mellin_headers():
     for header in ("mellin_beta: x", "mellin_beta: 1/0", "mellin_ell: two"):
         with pytest.raises(ParseError, match="mellin"):
             InputDocument.parse(f"rank: 1\n{header}\nmatrix:\n0\n")
+
+
+def test_ramification_and_mellin_integers_are_capped():
+    def with_ramification(r):
+        return DOC.replace("ramification: 1", f"ramification: {r}")
+
+    at_cap = InputDocument.parse(with_ramification(MAX_RAMIFICATION))
+    assert at_cap.ramification == MAX_RAMIFICATION
+    over = MAX_RAMIFICATION + 1
+    with pytest.raises(ParseError, match=f"ramification {over} exceeds"):
+        InputDocument.parse(with_ramification(over))
+    for key, name in (("mellin_ell", "ell"), ("mellin_kprime", "kprime"),
+                      ("mellin_ksecond", "ksecond")):
+        doc = InputDocument.parse(
+            f"rank: 1\n{key}: {MAX_MELLIN_POWER}\nmatrix:\n0\n")
+        assert doc.mellin[name] == MAX_MELLIN_POWER
+        over = MAX_MELLIN_POWER + 1
+        with pytest.raises(ParseError, match=f"{key} {over} exceeds"):
+            InputDocument.parse(f"rank: 1\n{key}: {over}\nmatrix:\n0\n")

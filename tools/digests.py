@@ -3,7 +3,12 @@
 Two checkouts that print the same JSON give the same answers on the corpus:
 the formal decomposition and its verification of every case (as given, and
 restricted to z = 0 and z = 1), the Deligne table at z0 in {1, 2, i}, and
-the ``--json`` reports of the seven CLI commands on the README example.
+the ``--json`` reports of the seven CLI commands on the README example,
+the reports of decompose, verify, nearby and regularity on two more
+documents (one that exits 2 with the minimal polynomial of the first
+non-split factor, one declared over Q with ``cyclotomic_order: 1``), and
+the roots and non-split factors that ``roots_in_field`` finds for a few
+fixed polynomials over Q, Q(i) and Q(zeta_12).
 The corpus is ``build_corpus(11, trunc=6)``, all 24 cases.
 A call that raises is recorded as its exception type and message instead
 of a digest, so an error that appears, moves or goes away shows up too.
@@ -28,6 +33,8 @@ from wildcycle import cli
 from wildcycle.corpus import build_corpus
 from wildcycle.cyclotomic import Cyc
 from wildcycle.nearby import deligne_nearby_cycles
+from wildcycle.params import LPoly
+from wildcycle.roots import roots_in_field
 from wildcycle.turrittin import formal_decompose, verify_decomposition
 
 # The README's slope-one example, with the headers the twist and mellin
@@ -51,6 +58,36 @@ t^-2, 0
 """
 CLI_COMMANDS = [["decompose"], ["verify"], ["nearby"], ["regularity"],
                 ["ramify", "--order", "2"], ["twist"], ["mellin"]]
+# Leading eigenvalues +-sqrt 5 and +-sqrt 7 stay outside every field the
+# decomposition tries, so the commands exit 2 and name the first non-split
+# factor: the order of the factors reaches the report.
+NONSPLIT_DOC = """\
+rank: 4
+truncation: 8
+matrix:
+0, 5*t^-2, 0, 0
+t^-2, 0, 0, 0
+0, 0, 0, 7*t^-2
+0, 0, t^-2, 0
+"""
+# Declared over Q; eigenvalues +-sqrt 2 * t^-1 need Q(zeta_8).
+ORDER_ONE_DOC = """\
+cyclotomic_order: 1
+rank: 2
+truncation: 8
+matrix:
+0, 1
+2*t^-2, 0
+"""
+MORE_DOCS = {"nonsplit": NONSPLIT_DOC, "order-one": ORDER_ONE_DOC}
+MORE_COMMANDS = [["decompose"], ["verify"], ["nearby"], ["regularity"]]
+# Polynomials over Q (low degree first) whose roots_in_field answers are
+# digested at orders 1, 4 and 12: Swinnerton-Dyer x^4 - 10x^2 + 1,
+# Phi_8 * Phi_12, x * (x^2 + 1) and (x^2 - 5) * (x^2 - 7).
+ROOT_POLYS = {"swinnerton-dyer": [1, 0, -10, 0, 1],
+              "phi8-phi12": [1, 0, -1, 0, 1, 0, -1, 0, 1],
+              "x-x2-plus-1": [0, 1, 0, 1],
+              "sqrt5-sqrt7": [35, 0, -12, 0, 1]}
 NEARBY_POINTS = [("1", Cyc.rational(1)), ("2", Cyc.rational(2)),
                  ("i", Cyc.imaginary_unit())]
 
@@ -100,13 +137,13 @@ def case_digests(case) -> dict:
     return out
 
 
-def cli_digests() -> dict:
+def cli_digests(doc: str, commands) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "readme.wc")
+        path = os.path.join(tmp, "doc.wc")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(README_DOC)
-        for command in CLI_COMMANDS:
+            handle.write(doc)
+        for command in commands:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = cli.main(command + ["--input", path, "--json"])
@@ -114,8 +151,23 @@ def cli_digests() -> dict:
     return out
 
 
+def root_digests() -> dict:
+    out = {}
+    for name, coeffs in ROOT_POLYS.items():
+        for order in (1, 4, 12):
+            poly = LPoly([Cyc.rational(c, order) for c in coeffs])
+            found, err = guarded(lambda: roots_in_field(poly, order))
+            out[f"{name}@{order}"] = err or digest(
+                [[[r.render(), m] for r, m in found[0]],
+                 [[f.render("X"), m] for f, m in found[1]]])
+    return out
+
+
 def main() -> int:
-    result = {"cli": cli_digests()}
+    result = {"cli": cli_digests(README_DOC, CLI_COMMANDS),
+              "roots": root_digests()}
+    for name, doc in MORE_DOCS.items():
+        result[f"cli-{name}"] = cli_digests(doc, MORE_COMMANDS)
     for case in build_corpus(11, trunc=6):
         result[case.name] = case_digests(case)
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
