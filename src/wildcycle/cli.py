@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .document import MAX_TRUNCATION, InputDocument, _factor_expression
+from .document import MAX_TRUNCATION, InputDocument
 from .errors import (InsufficientTruncation, InternalInvariantError,
                      NonTerminating, ParseError,
                      UnsupportedAlgebraicExtension, WildcycleError)
@@ -99,7 +99,7 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
             raise WildcycleError("twist command needs a 'twist:' header")
         out = conn.twist_exponential(doc.twist, doc.twist_sign)
         report.sections["twist"] = {
-            "phi": _factor_expression(doc.twist, doc.tvar),
+            "phi": ExpFactor(1, doc.twist.coeffs).render(doc.tvar),
             "sign": doc.twist_sign,
             "matrix": out.action.render(doc.tvar, doc.lvar),
         }

@@ -238,30 +238,25 @@ class LambdaConnection:
         new = self.action.ramify(r) * Fraction(r)
         return LambdaConnection(new, self.q * r, self.lambda0)
 
-    def pushforward(self, degree: int = None) -> "LambdaConnection":
-        """Direct image along rho_d: coordinate w = u^d, rank multiplied by d.
+    def pushforward(self) -> "LambdaConnection":
+        """Direct image along rho_q onto the base coordinate t = u^q.
 
-        ``degree`` must divide q (default: all of it, landing on the base
-        coordinate t).  Basis ordered u^k (x) e_i with k major, as in the
-        rank-one model basis (e, u e, ..., u^{d-1} e).
+        The rank is multiplied by q.  Basis ordered u^k (x) e_i with k
+        major, as in the rank-one model basis (e, u e, ..., u^{q-1} e).
         """
-        d = self.q if degree is None else degree
-        if d < 1 or self.q % d != 0:
-            raise WildcycleError(
-                f"push degree {d} must divide the ramification {self.q}")
+        d = self.q
         if d == 1:
             return self
         n = self.rank
-        q_new = self.q // d
         t_in = self.guaranteed_order
         t_out = None if t_in is None else (t_in - (d - 1)) // d
         lamd = self.lambda_factor() / d
-        zero = LaurentSeries.zero(q_new, t_out)
+        zero = LaurentSeries.zero(1, t_out)
         rows = [[zero for _ in range(n * d)] for _ in range(n * d)]
 
         def add_monomial(bi, bj, exp, coeff):
             cur = rows[bi][bj]
-            rows[bi][bj] = cur + LaurentSeries.monomial(coeff, exp, q_new, t_out)
+            rows[bi][bj] = cur + LaurentSeries.monomial(coeff, exp, 1, t_out)
 
         for k in range(d):
             for i in range(n):
@@ -276,7 +271,7 @@ class LambdaConnection:
                         if t_out is not None and m >= t_out:
                             continue
                         add_monomial(kp * n + j, col, m, c * Fraction(1, d))
-        return LambdaConnection(LaurentMatrix(rows, q_new), q_new, self.lambda0)
+        return LambdaConnection(LaurentMatrix(rows, 1), 1, self.lambda0)
 
     def restrict_lambda(self, point) -> "LambdaConnection":
         """Evaluate every coefficient at a fixed parameter value."""

@@ -268,7 +268,8 @@ class InputDocument:
             "lambda0: " + ", ".join(p.render() for p in self.lambda0_points),
         ]
         if self.twist is not None:
-            lines.append("twist: " + _factor_expression(self.twist, self.tvar))
+            lines.append("twist: " + ExpFactor(1, self.twist.coeffs)
+                         .render(self.tvar))
             if self.twist_sign != 1:
                 lines.append("twist_sign: -1")
         if self.order != 2:
@@ -282,8 +283,8 @@ class InputDocument:
             if self.mellin["ksecond"]:
                 lines.append(f"mellin_ksecond: {self.mellin['ksecond']}")
             if self.mellin["phi"] is not None:
-                lines.append("mellin_phi: "
-                             + _factor_expression(self.mellin["phi"], self.tvar))
+                lines.append("mellin_phi: " + ExpFactor(
+                    1, self.mellin["phi"].coeffs).render(self.tvar))
         lines.append("matrix:")
         for row in self.matrix_entries:
             lines.append(", ".join(x.render(self.tvar, self.lvar) for x in row))
@@ -303,20 +304,3 @@ def _series_to_factor(series: LaurentSeries, lineno: int) -> ExpFactor:
         coeffs[-n] = c.as_cyc()
     return ExpFactor(series.q, coeffs)
 
-
-def _factor_expression(phi: ExpFactor, tvar: str) -> str:
-    if phi.is_zero():
-        return "0"
-    parts = []
-    for a in sorted(phi.coeffs, reverse=True):
-        c = phi.coeffs[a].render()
-        body = f"{tvar}^-{a}"
-        if c == "1":
-            parts.append(body)
-        elif c == "-1":
-            parts.append(f"-{body}")
-        elif "+" in c or " " in c or "-" in c[1:]:
-            parts.append(f"({c})*{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")

@@ -139,7 +139,7 @@ def const_rank(mat) -> int:
     return len(pivots)
 
 
-def const_solve(mat, rhs_cols, one, zero):
+def const_solve(mat, rhs_cols):
     """Solve mat * X = rhs for exact field entries; raises if singular."""
     n = len(mat)
     aug = [mat[i][:] + rhs_cols[i][:] for i in range(n)]
@@ -150,7 +150,7 @@ def const_solve(mat, rhs_cols, one, zero):
     return [[rref[i][n + j] for j in range(w)] for i in range(n)]
 
 
-def const_is_nilpotent(mat, one, zero) -> bool:
+def const_is_nilpotent(mat) -> bool:
     n = len(mat)
     p = [row[:] for row in mat]
     for _ in range(n):

@@ -8,6 +8,12 @@ coordinate: an upstairs exponent beta at level q spreads into the division
 classes (beta + k)/q, k = 0..q-1, with the nilpotent scaled by 1/q (its
 Jordan type is unchanged).  Total dimension equals the represented rank.
 
+M is decomposed once.  The twist by E^{-phi/z} is scalar, so the
+decomposition's gauge also decomposes the twisted module, whose regular
+part is the sum of the summands R_j with phi_j = phi: at the decomposition
+level they are read off directly, and below it the projector onto them,
+built from the same gauge, descends to the level q_phi.
+
 A connection stored at ramification q > 1 represents the direct image of
 its matrix module; its table is computed on the module's own disc first and
 then transported down, which keeps every eigenvalue computation in the
@@ -136,37 +142,40 @@ def _canonical_orbit_rep(orbit):
 # ---------------------------------------------------------------------------
 
 
-def regular_part(conn: LambdaConnection, order=None):
-    """The maximal regular constituent, presented at the same level.
+def regular_part(conn: LambdaConnection, dec: FormalDecomposition,
+                 phi: ExpFactor):
+    """The summands of ``dec`` keyed by ``phi``, at the level of ``conn``.
 
-    When the decomposition needs no further ramification the regular
-    summands are returned directly.  Otherwise the canonical projector onto
-    the regular block is computed upstairs; being canonical it is Galois
-    equivariant, so its matrix descends to the original level, where the
-    image basis carries the induced action.  Returns None for rank zero.
+    ``dec`` decomposes a module M, and ``conn`` is E^{-phi/z} (x) M at a
+    level dividing the decomposition level.  The twist is scalar, so
+    ``dec.gauge`` also decomposes ``conn`` pulled up to that level, and the
+    maximal regular constituent of ``conn`` is the sum of the R_j with
+    phi_j = phi.  At the decomposition level those summands are returned
+    directly.  Otherwise the canonical projector onto them is built from
+    ``dec.gauge`` upstairs; being canonical it is Galois equivariant, so its
+    matrix descends to the level of ``conn``, where the image basis carries
+    the induced action.  Returns None when no summand is keyed by ``phi``.
     """
-    dec = formal_decompose(conn, order=order)
-    regs = [s for s in dec.summands if s.phi.is_zero()]
-    if not regs:
+    indicator = [s.phi == phi for s in dec.summands for _ in range(s.rank)]
+    if not any(indicator):
         return None
-    if dec.rel_ramification == 1:
-        out = regs[0].regular
-        for s in regs[1:]:
-            out = out.direct_sum(s.regular)
+    rel = dec.q_used // conn.q
+    if rel == 1:
+        regs = [s.regular for s in dec.summands if s.phi == phi]
+        out = regs[0]
+        for reg in regs[1:]:
+            out = out.direct_sum(reg)
         return out
-    rel = dec.rel_ramification
-    up = conn.ramify_pullback(rel)
-    n = up.rank
+    n = conn.rank
     work = dec.certified_order
     if work is None:
-        work = (order if order is not None else 8 * max(1, n)) * rel
+        work = 8 * max(1, n) * rel
     gauge = dec.gauge
     ginv = gauge.inverse(work)
-    indicator = [s.phi.is_zero() for s in dec.summands for _ in range(s.rank)]
-    e_rows = [[LaurentSeries.one(up.q, work) if (i == j and indicator[i])
-               else LaurentSeries.zero(up.q, work) for j in range(n)]
+    e_rows = [[LaurentSeries.one(gauge.q, work) if (i == j and indicator[i])
+               else LaurentSeries.zero(gauge.q, work) for j in range(n)]
               for i in range(n)]
-    proj = gauge * LaurentMatrix(e_rows, up.q) * ginv
+    proj = gauge * LaurentMatrix(e_rows, gauge.q) * ginv
     down = _descend_matrix(proj, rel, conn.q)
     cols = [[down.rows[i][j] for i in range(n)] for j in range(n)]
     rank = sum(indicator)
@@ -276,7 +285,7 @@ def _induced_action(conn: LambdaConnection, basis, order):
 # ---------------------------------------------------------------------------
 
 
-def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None, order=None,
+def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None,
                           folded: bool = True) -> DeligneTable:
     """The (phi, beta, weight) table of the represented module at z0.
 
@@ -287,48 +296,40 @@ def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None, order=None,
     """
     lam0 = model_point(conn, lambda0)
     if conn.q > 1:
-        own = _own_disc(conn)
-        inner = deligne_nearby_cycles(own, lambda0=lam0, order=order,
+        inner = deligne_nearby_cycles(_own_disc(conn), lambda0=lam0,
                                       folded=folded)
         return _push_table_down(inner, conn.q, lam0)
-    dec = formal_decompose(conn, order=order)
-    level = dec.q_used
+    dec = formal_decompose(conn)
     if not folded:
-        return _unfolded_table(conn, dec, lam0, order)
-    orbits = []
+        return _unfolded_table(conn, dec, lam0)
+    # orbits are looked up by member: the canonical representative depends
+    # on the order the coefficients are stored at, germ equality does not
+    orbits, orbit_of = [], {}
     for idx, s in enumerate(dec.summands):
-        placed = False
-        for orb in orbits:
-            if _same_orbit(orb["rep"], s.phi):
-                orb["members"].append(idx)
-                placed = True
-                break
-        if not placed:
-            orbits.append({"rep": s.phi.reduce_ramification(), "members": [idx]})
+        if s.phi not in orbit_of:
+            orbit = _orbit_of(s.phi)
+            orbits.append((_canonical_orbit_rep(orbit), orbit, []))
+            orbit_of.update(dict.fromkeys(orbit, orbits[-1]))
+        orbit_of[s.phi][2].append(idx)
     entries = []
-    for orb in orbits:
-        full_orbit = _orbit_of(orb["rep"])
-        rep = _canonical_orbit_rep(full_orbit)
-        q_phi = rep.q
+    for rep, orbit, members in orbits:
         if not is_t_irreducible(rep):
             raise InternalInvariantError("orbit representative is reducible")
-        pulled = conn.ramify_pullback(q_phi)
-        twisted = pulled.twist_exponential(rep, sign=-1)
-        reg = regular_part(twisted, order=None if order is None
-                           else order * q_phi)
+        twisted = conn.ramify_pullback(rep.q).twist_exponential(rep, sign=-1)
+        reg = regular_part(twisted, dec, rep)
         if reg is None:
             raise InternalInvariantError(
                 "empty regular part for a detected orbit")
         model = reduce_to_constant(reg, lambda0=lam0)
         rows = _gather_rows(
             [t for beta, _ in model.exponents_with_multiplicity()
-             for t in _spread_datum(psi_beta(model, beta), q_phi)], lam0)
-        entries.append(DeligneEntry(phi=rep, rows=rows, orbit=full_orbit,
-                                    provenance=sorted(orb["members"])))
+             for t in _spread_datum(psi_beta(model, beta), rep.q)], lam0)
+        entries.append(DeligneEntry(phi=rep, rows=rows, orbit=orbit,
+                                    provenance=members))
     table = DeligneTable(entries=_sort_entries(entries, lam0),
                          base_ramification=1,
                          represented_rank=conn.rank,
-                         lambda0=lam0, q_used=level)
+                         lambda0=lam0, q_used=dec.q_used)
     if table.total_dim() != table.represented_rank:
         raise InternalInvariantError(
             f"table dimension {table.total_dim()} != rank "
@@ -342,7 +343,7 @@ def _own_disc(conn: LambdaConnection) -> LambdaConnection:
     return LambdaConnection(LaurentMatrix(rows, 1), 1, conn.lambda0)
 
 
-def _unfolded_table(conn, dec: FormalDecomposition, lam0, order) -> DeligneTable:
+def _unfolded_table(conn, dec: FormalDecomposition, lam0) -> DeligneTable:
     entries = []
     rel = dec.rel_ramification
     for idx, s in enumerate(dec.summands):
@@ -459,8 +460,7 @@ def ramification_transport(table: DeligneTable, r: int) -> DeligneTable:
                         lambda0=table.lambda0, q_used=table.q_used)
 
 
-def tables_equal(a: DeligneTable, b: DeligneTable,
-                 compare_jordan: bool = True) -> bool:
+def tables_equal(a: DeligneTable, b: DeligneTable) -> bool:
     """Entrywise equality: keys as orbits, rows by (class, dim, Jordan type)."""
     if len(a.entries) != len(b.entries):
         return False
@@ -473,6 +473,6 @@ def tables_equal(a: DeligneTable, b: DeligneTable,
                 return False
             if ra.weight_dims != rb.weight_dims:
                 return False
-            if compare_jordan and ra.jordan_type() != rb.jordan_type():
+            if ra.jordan_type() != rb.jordan_type():
                 return False
     return True

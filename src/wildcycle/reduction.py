@@ -268,8 +268,8 @@ class _OBasis:
         return True
 
 
-def saturate_lattice(conn: LambdaConnection, s: int, order: int,
-                     max_steps=None) -> LaurentMatrix:
+def saturate_lattice(conn: LambdaConnection, s: int,
+                     order: int) -> LaurentMatrix:
     """Basis of the smallest (u^s L)-stable lattice containing O^n.
 
     The returned matrix is a gauge; in that frame the action has pole order
@@ -278,9 +278,7 @@ def saturate_lattice(conn: LambdaConnection, s: int, order: int,
     requested slope bound is below the true maximal slope).
     """
     n = conn.rank
-    k = conn.pole_order()
-    if max_steps is None:
-        max_steps = n * (k + 2) + 4
+    max_steps = n * (conn.pole_order() + 2) + 4
     basis = _OBasis(n, conn.q, order)
     for i in range(n):
         basis.insert([LaurentSeries.one(conn.q, order) if j == i

@@ -88,23 +88,24 @@ def residue_spectrum(r0, norder: int):
     """Eigenvalue functions of a constant ParamScalar matrix.
 
     Candidates come from interpolating exact root sets at z = 0, 1, 2 and
-    are verified by exact division of the characteristic polynomial.
+    are verified by exact division of the characteristic polynomial.  The
+    root sets are read once, from the full polynomial: a root whose
+    eigenvalue has been divided out no longer passes the division.
     Returns a list of (EigenLabel, multiplicity).
     """
     cp = charpoly(r0, PS1, PS0)
     remaining = list(cp)
     found = []
-    points = [Cyc.rational(0), Cyc.rational(1), Cyc.rational(2)]
+    root_sets = []
+    for pt in (0, 1, 2):
+        coeffs = [c.eval(Cyc.rational(pt)) for c in cp]
+        roots, nonsplit = roots_in_field(LPoly(coeffs), norder)
+        if nonsplit:
+            raise UnsupportedAlgebraicExtension(
+                "residue eigenvalues leave the cyclotomic field",
+                min_poly=nonsplit[0][0].render("X"))
+        root_sets.append(list(dict.fromkeys(r for r, _ in roots)))
     while len(remaining) > 1:
-        root_sets = []
-        for pt in points:
-            coeffs = [c.eval(pt) for c in remaining]
-            roots, nonsplit = roots_in_field(LPoly(coeffs), norder)
-            if nonsplit:
-                raise UnsupportedAlgebraicExtension(
-                    "residue eigenvalues leave the cyclotomic field",
-                    min_poly=nonsplit[0][0].render("X"))
-            root_sets.append(list(dict.fromkeys(r for r, _ in roots)))
         hit = None
         for r0_ in root_sets[0]:
             for r1_ in root_sets[1]:
@@ -223,17 +224,15 @@ def model_point(conn: LambdaConnection, lambda0=None) -> Cyc:
     return lam0
 
 
-def reduce_to_constant(conn: LambdaConnection, lambda0=None,
-                       order=None) -> RegularModel:
+def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
     """Bring a regular module to its constant model at z0 != 0.
 
     ``lambda0`` is resolved by :func:`model_point`.
     """
     lam0 = model_point(conn, lambda0)
+    order = conn.guaranteed_order
     if order is None:
-        order = conn.guaranteed_order
-        if order is None:
-            order = 8 * max(1, conn.rank)
+        order = 8 * max(1, conn.rank)
     m = conn
     saturation = None
     if m.pole_order() > 0:
@@ -466,7 +465,7 @@ def psi_beta(model: RegularModel, beta) -> NearbyCycleDatum:
                 entry = Cyc.zero()
             row.append(-entry)
         nil.append(row)
-    if not const_is_nilpotent(nil, Cyc.one(), Cyc.zero()):
+    if not const_is_nilpotent(nil):
         raise InternalInvariantError("expected nilpotent block is not nilpotent")
     weight_dims, primitive_dims, _ = monodromy_filtration(nil)
     return NearbyCycleDatum(beta=beta, dim=dim, nilpotent=nil,
@@ -585,20 +584,19 @@ class BernsteinFactor:
         return f"(s - ({e.render()}))^{self.power}"
 
 
-def bernstein_product(model: RegularModel, extra_shifts: int = 0):
+def bernstein_product(model: RegularModel):
     """Factors (s - star(beta+k))^L annihilating the graded lattice.
 
     L is the nilpotency order of N on the gathered psi^beta; k runs over
-    the integer offsets present plus optionally 0..extra_shifts.
+    the integer offsets present and 0.
     """
     factors = []
     for beta in model.classes():
         datum = psi_beta(model, beta)
         power = max([l + 1 for l in datum.primitive_dims], default=1)
-        offsets = sorted(set(b.label.offset for b in model.blocks
-                             if b.label.cls() == beta))
-        ks = sorted(set(offsets) | set(range(0, extra_shifts + 1)))
-        for k in ks:
+        offsets = {b.label.offset for b in model.blocks
+                   if b.label.cls() == beta}
+        for k in sorted(offsets | {0}):
             factors.append(BernsteinFactor(beta=beta, shift=k, power=power))
     return factors
 
@@ -615,14 +613,14 @@ def v0_lattice_fiber_dim(conn: LambdaConnection) -> int:
     return sum(m for s, m in slopes if s == 0)
 
 
-def regularity_test(conn: LambdaConnection, order=None) -> dict:
+def regularity_test(conn: LambdaConnection) -> dict:
     """Three effective regularity criteria and their agreement flag."""
     results = {}
-    poly1 = newton_polygon(conn, lambda0=1, order=order)
+    poly1 = newton_polygon(conn, lambda0=1)
     results["newton_polygon_at_1"] = poly1.is_regular()
     higgs = conn.restrict_lambda(0) if not conn.is_higgs else conn
     results["v0_lattice_full_at_0"] = (v0_lattice_fiber_dim(higgs) == conn.rank)
-    dec = formal_decompose(conn, order=order)
+    dec = formal_decompose(conn)
     results["decomposition_trivial_phi"] = (
         dec.rel_ramification == 1
         and all(s.phi.is_zero() for s in dec.summands))

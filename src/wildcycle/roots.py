@@ -368,10 +368,6 @@ def _norm_poly(poly: LPoly, order: int, shift: int):
     return interpolate(points, values, Q0)
 
 
-def _rational_to_lpoly(coeffs, order: int) -> LPoly:
-    return LPoly([Cyc.rational(c, order) for c in coeffs])
-
-
 def _compose_shift(coeffs, order: int, shift: int) -> LPoly:
     """t(X + shift*zeta_order) as an LPoly over Cyc."""
     zeta = Cyc.zeta(order)
@@ -428,11 +424,6 @@ def _factor_squarefree(poly: LPoly, order: int):
     poly = poly.monic()
     if poly.degree() == 1:
         return [poly]
-    if totient(order) == 1:
-        # plain rational factorization
-        coeffs = [c.as_fraction() for c in poly.coeffs]
-        return [_rational_to_lpoly(cs, order)
-                for cs, _ in factor_rational_poly(coeffs)]
     for shift in range(0, 8 * poly.degree() * totient(order) + 8):
         norm = _norm_poly(poly, order, shift)
         # squarefree test over Q

@@ -508,7 +508,7 @@ def _sylvester_operator(b1, b2):
 
 def _solve_sylvester(op, rhs, n1, n2):
     vec = [[rhs[i][j]] for i in range(n1) for j in range(n2)]
-    sol = const_solve(op, vec, PS1, PS0)
+    sol = const_solve(op, vec)
     return [[sol[i * n2 + j][0] for j in range(n2)] for i in range(n1)]
 
 

@@ -11,6 +11,7 @@ from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import (InternalInvariantError, NotStarShaped,
                               WildcycleError)
 from wildcycle.exponents import ComplexExponent, star
+from wildcycle import nearby
 from wildcycle.matrices import LaurentMatrix
 from wildcycle.nearby import (DeligneTable, _certified_rank,
                               deligne_nearby_cycles, is_t_irreducible,
@@ -18,6 +19,7 @@ from wildcycle.nearby import (DeligneTable, _certified_rank,
                               tables_equal)
 from wildcycle.params import PS1
 from wildcycle.series import LaurentSeries
+from wildcycle.turrittin import formal_decompose
 
 
 def const(val, q=1, trunc=12):
@@ -155,7 +157,7 @@ def test_regular_part_of_mixed_module():
     irr = LambdaConnection.trivial(1, 1, 12).twist_exponential(phi, 1)
     reg = conn([[const(star(B))]])
     m = irr.direct_sum(reg)
-    part = regular_part(m)
+    part = regular_part(m, formal_decompose(m), ExpFactor.zero())
     assert part is not None and part.rank == 1
     assert part.pole_order() == 0
 
@@ -163,7 +165,7 @@ def test_regular_part_of_mixed_module():
 def test_regular_part_none_for_pure_irregular():
     phi = ExpFactor(1, {1: 1})
     irr = LambdaConnection.trivial(1, 1, 12).twist_exponential(phi, 1)
-    assert regular_part(irr) is None
+    assert regular_part(irr, formal_decompose(irr), ExpFactor.zero()) is None
 
 
 def test_certified_rank_honours_truncation_zero():
@@ -175,9 +177,14 @@ def test_certified_rank_honours_truncation_zero():
 # -- regular corpus cases ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def regular_cases():
-    return {c.name: c.connection for c in build_corpus(11, trunc=6)
-            if c.name.startswith("reg-")}
+def corpus_cases():
+    return {c.name: c.connection for c in build_corpus(11, trunc=6)}
+
+
+@pytest.fixture(scope="module")
+def regular_cases(corpus_cases):
+    return {name: m for name, m in corpus_cases.items()
+            if name.startswith("reg-")}
 
 
 F = Fraction
@@ -197,6 +204,92 @@ GOLDEN_REGULAR_ROWS = {
     "reg-rank2-imag": [((F(-2, 3), 1), 1, (1,)), ((F(-1, 4), -1), 1, (1,))],
     "reg-rank4-pairs": [((0, 0), 2, (2,)), ((F(-1, 3), 0), 2, (2,))],
 }
+
+# The folded table of each irr-* and ram* case, read off its spec in
+# corpus.py: per orbit, a member phi and the orbit's level q, then the
+# (beta, dim, Jordan type) rows of the regular part of E^{-phi} (x) M.  An
+# irr-* orbit is its single phi at level 1 with the spec's block as rows.  A
+# ram* case pushes one block of exponent beta at level q forward, so it is
+# one orbit whose rows are the classes (beta + k)/q, k = 0..q-1, each of
+# dimension 1.  ram2-implicit is [[0, 1], [t^-1, 0]]: pulled back along
+# t = u^2 it is [[0, 2], [2u^-2, 0]], and the frame (u e1, e2) gives
+# u^-1 [[0, 2], [2, 0]] + z diag(1, 0).  The leading eigenvalues +-2 peel
+# into phi = -+2 u^-1; in the eigenframe (1, +-1) the residue of each block
+# is z/2 (the off-diagonal z/2 is split off at order u^1), an eigenvalue in
+# class 1/2 = -1/2 at level 2, so the rows are -1/4 and -3/4.
+GOLDEN_IRREGULAR_TABLES = {
+    "irr-rank1-pole1": [({1: 1}, 1, [((F(-1, 2), 0), 1, (1,))])],
+    "irr-rank1-pole2": [({2: F(1, 2), 1: 1}, 1, [((F(-1, 3), 0), 1, (1,))])],
+    "irr-rank2-split": [({1: 1}, 1, [((0, 0), 1, (1,))]),
+                        ({1: -1}, 1, [((F(-1, 2), 0), 1, (1,))])],
+    "irr-rank2-jordan": [({1: 2}, 1, [((F(-1, 3), 0), 2, (2,))])],
+    "irr-rank3-mixed": [({1: 1}, 1, [((0, 0), 1, (1,))]),
+                        ({}, 1, [((F(-1, 2), 0), 1, (1,)),
+                                 ((F(-1, 3), 0), 1, (1,))])],
+    "irr-rank3-two-poles": [({2: 1}, 1, [((0, 0), 1, (1,))]),
+                            ({1: -2}, 1, [((F(-1, 2), 0), 1, (1,))]),
+                            ({}, 1, [((F(-1, 3), 0), 1, (1,))])],
+    "irr-rank2-pole3": [({3: 1}, 1, [((F(-2, 3), 1), 1, (1,))]),
+                        ({}, 1, [((0, 0), 1, (1,))])],
+    "irr-rank4-two-blocks": [({1: 1}, 1, [((0, 0), 1, (1,)),
+                                          ((F(-1, 2), 0), 1, (1,))]),
+                             ({1: -1}, 1, [((F(-1, 3), 0), 2, (2,))])],
+    "irr-rank2-gauss": [({1: F(1, 2)}, 1, [((F(-1, 4), -1), 1, (1,))]),
+                        ({2: -1}, 1, [((0, 0), 1, (1,))])],
+    "irr-rank5-three": [({1: 1}, 1, [((0, 0), 1, (1,)),
+                                     ((F(-1, 2), 0), 1, (1,))]),
+                        ({1: -1}, 1, [((F(-1, 3), 0), 1, (1,))]),
+                        ({2: 1}, 1, [((0, 0), 1, (1,)),
+                                     ((F(-2, 3), 1), 1, (1,))])],
+    "ram2-elementary": [({1: 1}, 2, [((0, 0), 1, (1,)),
+                                     ((F(-1, 2), 0), 1, (1,))])],
+    "ram2-beta": [({1: F(1, 2)}, 2, [((F(-1, 4), 0), 1, (1,)),
+                                     ((F(-3, 4), 0), 1, (1,))])],
+    "ram3-elementary": [({1: 1}, 3, [((0, 0), 1, (1,)),
+                                     ((F(-1, 3), 0), 1, (1,)),
+                                     ((F(-2, 3), 0), 1, (1,))])],
+    "ram2-pole3": [({3: 1}, 2, [((0, 0), 1, (1,)),
+                                ((F(-1, 2), 0), 1, (1,))])],
+    "ram3-two": [({2: 1}, 3, [((F(-1, 9), 0), 1, (1,)),
+                              ((F(-4, 9), 0), 1, (1,)),
+                              ((F(-7, 9), 0), 1, (1,))])],
+    "ram2-implicit": [({1: 2}, 2, [((F(-1, 4), 0), 1, (1,)),
+                                   ((F(-3, 4), 0), 1, (1,))])],
+}
+
+
+@pytest.mark.parametrize("lam0", [Cyc.rational(1), Cyc.rational(2),
+                                  Cyc.imaginary_unit()],
+                         ids=["1", "2", "i"])
+def test_golden_irregular_tables(corpus_cases, lam0):
+    assert sorted(GOLDEN_IRREGULAR_TABLES) == sorted(
+        name for name in corpus_cases if not name.startswith("reg-"))
+    for name, golden in GOLDEN_IRREGULAR_TABLES.items():
+        table = deligne_nearby_cycles(corpus_cases[name], lambda0=lam0)
+        assert len(table.entries) == len(golden), f"{name} at {lam0}"
+        for coeffs, q, rows in golden:
+            entry = table.entry_for(ExpFactor(q, coeffs))
+            assert entry is not None and entry.phi.q == q, \
+                f"{name} at {lam0}: no orbit of {coeffs} at level {q}"
+            got = sorted(((r.beta.beta_re, r.beta.beta_im), r.dim,
+                          r.jordan_type()) for r in entry.rows)
+            assert got == sorted(rows), f"{name} at {lam0}: {coeffs}"
+
+
+@pytest.mark.parametrize("name", ["irr-rank3-two-poles", "irr-rank5-three",
+                                  "ram3-two"])
+def test_one_decomposition_per_input(corpus_cases, monkeypatch, name):
+    calls = []
+
+    def counted(conn, *args, **kwargs):
+        calls.append(conn.q)
+        return formal_decompose(conn, *args, **kwargs)
+
+    monkeypatch.setattr(nearby, "formal_decompose", counted)
+    table = deligne_nearby_cycles(corpus_cases[name])
+    assert table.total_dim() == corpus_cases[name].rank
+    assert calls == [1]
+
 
 REAL_EXPONENT_CASES = ["reg-rank1-zero", "reg-rank1-half", "reg-rank2-distinct",
                        "reg-rank2-jordan", "reg-rank3-jordan3",

@@ -2,13 +2,16 @@
 
 Two checkouts that print the same JSON give the same answers on the corpus:
 the formal decomposition and its verification of every case (as given, and
-restricted to z = 0 and z = 1), the Deligne table at z0 in {1, 2, i}, and
-the ``--json`` reports of the seven CLI commands on the README example,
+restricted to z = 0 and z = 1), the Deligne table at z0 in {1, 2, i}, the
+unfolded table at z0 = 1, the table of the pull-back along t = t_2^2 of the
+six ramification-transport cases (a connection stored at level 2, so its
+table is computed on its own disc and pushed down), and the ``--json``
+reports of the seven CLI commands on the README example,
 the reports of decompose, verify, nearby and regularity on two more
 documents (one that exits 2 with the minimal polynomial of the first
 non-split factor, one declared over Q with ``cyclotomic_order: 1``), and
 the roots and non-split factors that ``roots_in_field`` finds for a few
-fixed polynomials over Q, Q(i) and Q(zeta_12).
+fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12).
 The corpus is ``build_corpus(11, trunc=6)``, all 24 cases.
 A call that raises is recorded as its exception type and message instead
 of a digest, so an error that appears, moves or goes away shows up too.
@@ -82,12 +85,17 @@ matrix:
 MORE_DOCS = {"nonsplit": NONSPLIT_DOC, "order-one": ORDER_ONE_DOC}
 MORE_COMMANDS = [["decompose"], ["verify"], ["nearby"], ["regularity"]]
 # Polynomials over Q (low degree first) whose roots_in_field answers are
-# digested at orders 1, 4 and 12: Swinnerton-Dyer x^4 - 10x^2 + 1,
+# digested at orders 1, 2, 4 and 12: Swinnerton-Dyer x^4 - 10x^2 + 1,
 # Phi_8 * Phi_12, x * (x^2 + 1) and (x^2 - 5) * (x^2 - 7).
 ROOT_POLYS = {"swinnerton-dyer": [1, 0, -10, 0, 1],
               "phi8-phi12": [1, 0, -1, 0, 1, 0, -1, 0, 1],
               "x-x2-plus-1": [0, 1, 0, 1],
               "sqrt5-sqrt7": [35, 0, -12, 0, 1]}
+ROOT_ORDERS = (1, 2, 4, 12)
+# The cases whose tables the acceptance suite compares with their ramified
+# pull-backs.
+TRANSPORT_CASES = ["reg-rank1-half", "reg-rank2-jordan", "reg-rank4-pairs",
+                   "irr-rank1-pole1", "irr-rank2-split", "ram2-elementary"]
 NEARBY_POINTS = [("1", Cyc.rational(1)), ("2", Cyc.rational(2)),
                  ("i", Cyc.imaginary_unit())]
 
@@ -134,6 +142,12 @@ def case_digests(case) -> dict:
     for label, point in NEARBY_POINTS:
         table, err = guarded(lambda: deligne_nearby_cycles(conn, point))
         out[f"nearby@{label}"] = err or digest(table.as_json())
+    table, err = guarded(lambda: deligne_nearby_cycles(conn, folded=False))
+    out["nearby-unfolded@1"] = err or digest(table.as_json())
+    if case.name in TRANSPORT_CASES:
+        table, err = guarded(
+            lambda: deligne_nearby_cycles(conn.ramify_pullback(2)))
+        out["nearby-pullback2@1"] = err or digest(table.as_json())
     return out
 
 
@@ -154,7 +168,7 @@ def cli_digests(doc: str, commands) -> dict:
 def root_digests() -> dict:
     out = {}
     for name, coeffs in ROOT_POLYS.items():
-        for order in (1, 4, 12):
+        for order in ROOT_ORDERS:
             poly = LPoly([Cyc.rational(c, order) for c in coeffs])
             found, err = guarded(lambda: roots_in_field(poly, order))
             out[f"{name}@{order}"] = err or digest(
