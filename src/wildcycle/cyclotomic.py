@@ -65,6 +65,8 @@ def poly_trim(a) -> list:
 
 
 def poly_add(a, b, zero) -> list:
+    if len(a) == 1 == len(b):
+        return [a[0] + b[0]]
     return poly_trim(x + y for x, y in zip_longest(a, b, fillvalue=zero))
 
 
@@ -77,6 +79,8 @@ def poly_mul(a, b, zero) -> list:
     only the slots no product reaches.  A zero of order 1 adds as the
     identity, so with it the stored orders are those of a sum seeded with
     ``zero``, without lifting the zero."""
+    if len(a) == 1 == len(b):
+        return [a[0] * b[0]] if a[0] and b[0] else [zero]
     out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -313,7 +317,7 @@ class Cyc:
         return _raw(order, _fold(order, totient(order), vec), self.den)
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc and isinstance(other, (int, Fraction)):
             other = Cyc.rational(other, self.order)
         if self.order == other.order:
             return self, other
@@ -356,10 +360,11 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self._scaled(other, 1)
-        if isinstance(other, Fraction):
-            return self._scaled(other.numerator, other.denominator)
+        if type(other) is not Cyc:
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
         a, b = self._pair(other)
         # rational fast paths dominate in practice
         if a.is_rational():

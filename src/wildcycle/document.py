@@ -33,16 +33,17 @@ from .series import LaurentSeries
 
 # Largest rank and truncation a document may declare.  The work grows
 # steeply with both: on a 2-vCPU host CLI decompose of the README 2x2
-# example takes 1.0, 1.9, 3.0 and 6.9 s at truncation 24, 48, 64 and 96,
-# and of a bidiagonal example with poles of order 2 at truncation 12 takes
+# example takes 0.3, 0.8 and 1.2 s at truncation 24, 48 and 64, and of a
+# bidiagonal example with poles of order 2 at truncation 12 takes
 # 6.4, 24 and 68 s at rank 8, 12 and 16.  A truncation derived from the
 # matrix is held to the same cap.
 MAX_RANK = 12
 MAX_TRUNCATION = 64
-# The series order is truncation * ramification, so the work grows with
-# both: on the same host CLI verify of the README example at truncation 24
-# takes 3.2, 7.1 and 17 s at ramification 2, 3 and 4.
+# The series order, truncation * ramification, is capped too: on the same
+# host CLI verify of the README example takes 3.0 s at order 64 (64 x 1),
+# 8.2-8.9 s at 96 (24 x 4, 48 x 2) and 18 s at 128 (64 x 2).
 MAX_RAMIFICATION = 4
+MAX_SERIES_ORDER = 96
 # Largest mellin_ell, mellin_kprime and mellin_ksecond.  The model block
 # raises z to the power ell one product at a time, and CLI mellin takes
 # 0.25, 0.35 and 1.2 s at ell 500, 1,000 and 2,000.
@@ -189,8 +190,15 @@ class InputDocument:
                     f"exceeds {MAX_TRUNCATION}", matrix_lines[0][0], 1,
                     expected=[f"truncation header of at most {MAX_TRUNCATION}"])
             self.truncation = derived
+        order = self.truncation * self.ramification
+        if order > MAX_SERIES_ORDER:
+            raise ParseError(
+                f"series order {order} (truncation {self.truncation} * "
+                f"ramification {self.ramification}) exceeds {MAX_SERIES_ORDER}",
+                matrix_lines[0][0], 1, expected=[
+                    f"truncation * ramification of at most {MAX_SERIES_ORDER}"])
         self.matrix_entries = [
-            [x.truncate(self.truncation * self.ramification) for x in row]
+            [x.truncate(order) for x in row]
             for row in rows]
 
     def _parse_extras(self, headers):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InsufficientTruncation, SingularGauge, WildcycleError
-from .params import ParamScalar
+from .params import PS0, ParamScalar
 from .series import LaurentSeries
 
 # ---------------------------------------------------------------------------
@@ -40,6 +40,9 @@ def mat_mul(a, b):
 
 
 def _dot(row, col):
+    kinds = {type(x) for x in row} | {type(y) for y in col}
+    if kinds == {LaurentSeries} or kinds == {ParamScalar}:
+        return kinds.pop().dot(row, col)
     acc = row[0] * col[0]
     for x, y in zip(row[1:], col[1:]):
         acc = acc + x * y
@@ -355,11 +358,11 @@ class LaurentMatrix:
     def leading_matrix(self, at_order: int):
         """Constant matrix of coefficients of t_q^at_order."""
         return [[x.coeff(at_order) if (x.trunc is None or at_order < x.trunc)
-                 else ParamScalar.rational(0)
+                 else PS0
                  for x in row] for row in self.rows]
 
     def coefficient_matrix(self, n: int):
-        return [[x.coeffs.get(n, ParamScalar.rational(0)) for x in row]
+        return [[x.coeffs.get(n, PS0) for x in row]
                 for row in self.rows]
 
     def inverse(self, order=None) -> "LaurentMatrix":

@@ -17,6 +17,7 @@ from .errors import DenominatorVanishes, WildcycleError
 # The zero LPoly arithmetic starts from; Cyc values are never mutated, so one
 # instance serves every call.
 C0 = Cyc.zero()
+_new = object.__new__
 
 
 def _as_cyc(value) -> Cyc:
@@ -157,6 +158,10 @@ class LPoly:
         return f"LPoly({self.render()!r})"
 
 
+# The denominator of a ParamScalar built without one (LPolys are immutable).
+ONE = LPoly.constant(1)
+
+
 class ParamScalar:
     """Reduced fraction of parameter polynomials, denominator monic."""
 
@@ -166,7 +171,7 @@ class ParamScalar:
         if not isinstance(num, LPoly):
             num = LPoly.constant(num)
         if den is None:
-            den = LPoly.constant(1)
+            den = ONE
         elif not isinstance(den, LPoly):
             den = LPoly.constant(den)
         if den.is_zero():
@@ -198,6 +203,21 @@ class ParamScalar:
     @staticmethod
     def lam() -> "ParamScalar":
         return ParamScalar(LPoly.variable())
+
+    @staticmethod
+    def dot(xs, ys) -> "ParamScalar":
+        """sum x*y, equal to the left fold of ``*`` and ``+`` (whose sum has
+        the first factor's denominator): on coefficient lists up to the first
+        rational-function factor, in ParamScalar arithmetic from there."""
+        acc, den = None, xs[0].den
+        for x, y in zip(xs, ys):
+            xc, yc = poly_coeffs(x), poly_coeffs(y)
+            if type(acc) is ParamScalar or not (xc and yc):
+                acc = x * y if acc is None else as_scalar(acc, den) + x * y
+            else:
+                p = poly_mul(xc, yc, C0)
+                acc = p if acc is None else poly_add(acc, p, C0)
+        return as_scalar(acc, den)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -295,6 +315,23 @@ class ParamScalar:
 
     def __repr__(self):
         return f"ParamScalar({self.render()!r})"
+
+
+def poly_coeffs(c: ParamScalar):
+    """The numerator's coefficients of a polynomial ``c``, else None."""
+    return c.num.coeffs if c.den is ONE or _lpoly_is_one(c.den) else None
+
+
+def as_scalar(c, den=ONE) -> ParamScalar:
+    """``c`` itself, or the trimmed Cyc list ``c`` as a polynomial over the
+    one ``den``, built without the constructor's checks."""
+    if type(c) is ParamScalar:
+        return c
+    num = _new(LPoly)
+    num.coeffs = tuple(c)
+    out = _new(ParamScalar)
+    out.num, out.den = num, den
+    return out
 
 
 PS0 = ParamScalar.rational(0)

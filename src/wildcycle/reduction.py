@@ -91,8 +91,7 @@ def cyclic_data(conn: LambdaConnection, order: int):
             last_error = exc
             continue
         rhs = [cols[n][i].truncate(order) for i in range(n)]
-        coeffs = [sum((kinv.rows[i][j] * rhs[j] for j in range(1, n)),
-                      kinv.rows[i][0] * rhs[0]) for i in range(n)]
+        coeffs = [LaurentSeries.dot(kinv.rows[i], rhs) for i in range(n)]
         return cand, krylov, coeffs
     raise InternalInvariantError(
         f"no cyclic vector found among candidates: {last_error}")

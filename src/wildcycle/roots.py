@@ -49,6 +49,12 @@ def factor_rational_poly(coeffs):
     polynomial of an exit-2 report; it is the order of sympy's
     ``factor_list`` over QQ.
     """
+    return _factor_rational(coeffs, _squarefree_part)
+
+
+def _factor_rational(coeffs, squarefree_part):
+    """``factor_rational_poly`` with ``squarefree_part`` applied to the
+    primitive polynomial (the identity for norms already tested square-free)."""
     f = _primitive(coeffs)
     if len(f) < 2:
         return []
@@ -56,7 +62,7 @@ def factor_rational_poly(coeffs):
     f = f[j:]
     found = [([0, 1], j)] if j else []
     if len(f) > 1:
-        for g in _factor_squarefree_z(_squarefree_part(f)):
+        for g in _factor_squarefree_z(squarefree_part(f)):
             mult = 0
             while (q := _exact_quotient(f, g)) is not None:
                 f, mult = q, mult + 1
@@ -431,7 +437,7 @@ def _factor_squarefree(poly: LPoly, order: int):
         if len(poly_gcd(norm, d, Q0)) > 1:
             continue
         factors = []
-        for cs, _ in factor_rational_poly(norm):
+        for cs, _ in _factor_rational(norm, lambda f: f):
             shifted = _compose_shift(cs, order, shift)
             g = poly.gcd(shifted)
             if g.degree() > 0:

@@ -7,15 +7,19 @@ Laurent polynomial (every unlisted coefficient is truly zero).  All
 operations propagate the guaranteed order pessimistically; an operation
 refuses (raises :class:`InsufficientTruncation`) rather than emit digits it
 cannot certify.
+
+Products run on coefficient lists: a t-slot of a product, or of a sum of
+products (:meth:`LaurentSeries.dot`), accumulates z-polynomial numerators
+with ``poly_mul``/``poly_add`` and is wrapped into a ParamScalar once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, lcm
+from .cyclotomic import Cyc, lcm, poly_add, poly_mul
 from .errors import InsufficientTruncation, WildcycleError
-from .params import PS0, PS1, ParamScalar
+from .params import C0, ONE, PS0, PS1, ParamScalar, as_scalar, poly_coeffs
 
 _INF = float("inf")
 
@@ -26,6 +30,19 @@ def _min_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def _product_trunc(x, y):
+    """Guaranteed order of x * y."""
+    if x.trunc is None and y.trunc is None:
+        return None
+    t = min(x.trunc + y.valuation_bound() if x.trunc is not None else _INF,
+            y.trunc + x.valuation_bound() if y.trunc is not None else _INF)
+    return None if t == _INF else int(t)  # a zero factor kills the tail
+
+
+def _is_zero(c) -> bool:
+    return not any(c) if type(c) is list else c.is_zero()
 
 
 class LaurentSeries:
@@ -90,7 +107,7 @@ class LaurentSeries:
         if self.trunc is not None and n >= self.trunc:
             raise InsufficientTruncation(
                 f"coefficient of degree {n} is beyond guaranteed order {self.trunc}")
-        return self.coeffs.get(n, ParamScalar.rational(0))
+        return self.coeffs.get(n, PS0)
 
     def cyclotomic_order(self) -> int:
         n = 1
@@ -113,7 +130,8 @@ class LaurentSeries:
         t = _min_trunc(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = out.get(n, ParamScalar.rational(0)) + c
+            out[n] = (out[n] + c if n in out  # PS0 + c is c when over ONE
+                      else c if c.den is ONE else PS0 + c)
         return LaurentSeries(self.q, out, t)
 
     __radd__ = __add__
@@ -135,28 +153,55 @@ class LaurentSeries:
             c = ParamScalar.of(other)
             return LaurentSeries(
                 self.q, {n: v * c for n, v in self.coeffs.items()}, self.trunc)
-        self._check_q(other)
-        t = None
-        if self.trunc is not None or other.trunc is not None:
-            t = min(self.trunc + other.valuation_bound()
-                    if self.trunc is not None else _INF,
-                    other.trunc + self.valuation_bound()
-                    if other.trunc is not None else _INF)
-            if t == _INF:
-                # one factor is zero to its order and kills the unknown tail
-                t = None
-            else:
-                t = int(t)
-        out = {}
-        for a, x in self.coeffs.items():
-            for b, y in other.coeffs.items():
-                n = a + b
-                if t is not None and n >= t:
-                    continue
-                out[n] = out.get(n, ParamScalar.rational(0)) + x * y
-        return LaurentSeries(self.q, out, t)
+        return LaurentSeries.dot((self,), (other,))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs, ys) -> "LaurentSeries":
+        """sum_k xs[k] * ys[k], equal to the left fold of ``*`` and ``+``.
+
+        A Cyc renders at its stored order, so this trims and drops where the
+        fold does: ``poly_add`` trims after each add, a product's zero slot
+        is dropped before the product joins the sum, and a slot the sum
+        empties is dropped.  Rational functions take ParamScalar arithmetic
+        as in the fold; terms past the sum's guaranteed order are skipped."""
+        q, t = xs[0].q, None
+        for x, y in zip(xs, ys):
+            x._check_q(y)
+            xs[0]._check_q(x)
+            t = _min_trunc(t, _product_trunc(x, y))
+        limit = _INF if t is None else t
+        acc = {}
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            prod = {}
+            yterms = [(b, poly_coeffs(c), c) for b, c in y.coeffs.items()]
+            for a, xp in x.coeffs.items():
+                xc = poly_coeffs(xp)
+                for b, yc, yp in yterms:
+                    n = a + b
+                    if n >= limit:
+                        continue
+                    cur = prod.get(n)
+                    if xc and yc and type(cur) is not ParamScalar:
+                        p = poly_mul(xc, yc, C0)
+                        prod[n] = p if cur is None else poly_add(cur, p, C0)
+                    else:
+                        prod[n] = as_scalar(PS0 if cur is None else cur) + xp * yp
+            for n, c in prod.items():
+                if _is_zero(c):
+                    continue
+                s = acc.get(n)
+                if s is None:
+                    acc[n] = c if k == 0 or type(c) is list else PS0 + c
+                    continue
+                s = (poly_add(s, c, C0) if type(s) is list and type(c) is list
+                     else as_scalar(s) + as_scalar(c))
+                if _is_zero(s):
+                    del acc[n]
+                else:
+                    acc[n] = s
+        return LaurentSeries(q, {n: as_scalar(c) for n, c in acc.items()}, t)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t_q^k."""
@@ -182,14 +227,8 @@ class LaurentSeries:
         terms = sorted(h.coeffs.items())
         u = [PS1]
         for k in range(1, h.trunc):
-            acc = None
-            for i, hi in terms:
-                if i > k:
-                    break
-                if u[k - i]:
-                    prod = hi * u[k - i]
-                    acc = prod if acc is None else acc + prod
-            u.append(PS0 if acc is None else -acc)
+            pairs = [(hi, u[k - i]) for i, hi in terms if i <= k and u[k - i]]
+            u.append(-ParamScalar.dot(*zip(*pairs)) if pairs else PS0)
         out = LaurentSeries(self.q, dict(enumerate(u)), h.trunc)
         return (out * c0i).shift(-v)
 

@@ -8,7 +8,7 @@ import pytest
 
 from wildcycle import cli
 from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
-                                MAX_TRUNCATION)
+                                MAX_SERIES_ORDER, MAX_TRUNCATION)
 from wildcycle.parser import MAX_EXPONENT
 from wildcycle.report import Report
 
@@ -222,6 +222,10 @@ OVER_THE_CAPS = [
     pytest.param(f"rank: 1\nramification: {MAX_RAMIFICATION + 1}\nmatrix:\n0\n",
                  (), f"ramification {MAX_RAMIFICATION + 1} exceeds",
                  id="ramification"),
+    pytest.param(DOC_IRREGULAR.replace("ramification: 1", "ramification: 2"),
+                 ("--truncation", str(MAX_SERIES_ORDER // 2 + 1)),
+                 f"ramification 2) exceeds {MAX_SERIES_ORDER}",
+                 id="series-order"),
     pytest.param("rank: 1\nmellin_beta: 1/2\nmellin_ell: 100000\nmatrix:\n0\n",
                  (), f"mellin_ell 100000 exceeds {MAX_MELLIN_POWER}",
                  id="mellin-ell"),

@@ -1,12 +1,14 @@
 """Expression grammar, document format, and round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from wildcycle.cyclotomic import Cyc
 from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
-                                MAX_TRUNCATION, InputDocument)
+                                MAX_SERIES_ORDER, MAX_TRUNCATION,
+                                InputDocument)
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
 from wildcycle.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
@@ -196,6 +198,28 @@ def test_rank_and_truncation_are_capped():
     for bad in (0, MAX_TRUNCATION + 1):
         with pytest.raises(ParseError, match="truncation override"):
             InputDocument.parse(DOC, truncation=bad)
+
+
+def test_series_order_is_capped():
+    # truncation and ramification are each within their own caps here, but
+    # their product, the series order, is capped as well
+    doc = DOC.replace("ramification: 1", "ramification: 2")
+    top = MAX_SERIES_ORDER // 2
+    assert top <= MAX_TRUNCATION
+    at_cap = InputDocument.parse(doc.replace("truncation: 10",
+                                             f"truncation: {top}"))
+    assert at_cap.truncation * at_cap.ramification == MAX_SERIES_ORDER
+    over = f"series order {2 * top + 2} (truncation {top + 1} * " \
+        f"ramification 2) exceeds {MAX_SERIES_ORDER}"
+    with pytest.raises(ParseError, match=re.escape(over)):
+        InputDocument.parse(doc.replace("truncation: 10",
+                                        f"truncation: {top + 1}"))
+    with pytest.raises(ParseError, match=re.escape(over)):
+        InputDocument.parse(doc, truncation=top + 1)
+    # a derived truncation too: 8 * rank * pole order = 32 at level 4
+    assert 32 <= MAX_TRUNCATION and 32 * 4 > MAX_SERIES_ORDER
+    with pytest.raises(ParseError, match="series order 128"):
+        InputDocument.parse("rank: 1\nramification: 4\nmatrix:\nt^-4\n")
 
 
 def test_malformed_mellin_headers():

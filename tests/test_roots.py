@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wildcycle.cyclotomic import poly_mul
-from wildcycle.roots import factor_rational_poly
+from wildcycle.roots import _factor_rational, factor_rational_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -115,3 +115,11 @@ def test_factorisation_matches_sympy(coeffs):
     found = factor_rational_poly(coeffs)
     assert found == sympy_factors(coeffs)
     assert all(type(c) is Fraction for cs, _ in found for c in cs)
+
+
+@pytest.mark.parametrize("coeffs", HARD_CASES)
+def test_squarefree_entry_matches_on_squarefree_input(coeffs):
+    # Trager's norms reach the factoriser already tested square-free
+    expected = sympy_factors(coeffs)
+    if all(m == 1 for _, m in expected):
+        assert _factor_rational(coeffs, lambda f: f) == expected

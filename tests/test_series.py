@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import InsufficientTruncation
+from wildcycle.matrices import LaurentMatrix
+from wildcycle.params import LPoly, ParamScalar
 from wildcycle.series import LaurentSeries, ramify_series
 
 
@@ -122,3 +124,178 @@ def test_log_derivative():
 def test_render_parse_friendly():
     f = LaurentSeries(1, {-2: Fraction(3, 2), 0: Cyc.gaussian(1, 2), 3: 1})
     assert f.render() == "3/2*t^-2 + 1 + 2*i + t^3"
+
+
+# -- the coefficient-list products against the per-term ParamScalar fold ---
+#
+# A Cyc renders at its stored order, so the list path must trim and drop
+# where the fold does.  The reference below is that fold: every term is a
+# ParamScalar product added into its slot with ParamScalar arithmetic,
+# starting from a fresh rational zero.
+
+def ref_mul(f, g):
+    t = None
+    if f.trunc is not None or g.trunc is not None:
+        t = min(f.trunc + g.valuation_bound() if f.trunc is not None
+                else float("inf"),
+                g.trunc + f.valuation_bound() if g.trunc is not None
+                else float("inf"))
+        t = None if t == float("inf") else int(t)
+    out = {}
+    for a, x in f.coeffs.items():
+        for b, y in g.coeffs.items():
+            if t is None or a + b < t:
+                out[a + b] = out.get(a + b, ParamScalar.rational(0)) + x * y
+    return LaurentSeries(f.q, out, t)
+
+
+def ref_add(f, g):
+    out = dict(f.coeffs)
+    for n, c in g.coeffs.items():
+        out[n] = out.get(n, ParamScalar.rational(0)) + c
+    t = f.trunc if g.trunc is None else (
+        g.trunc if f.trunc is None else min(f.trunc, g.trunc))
+    return LaurentSeries(f.q, out, t)
+
+
+def ref_dot(xs, ys):
+    acc = ref_mul(xs[0], ys[0])
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = ref_add(acc, ref_mul(x, y))
+    return acc
+
+
+def assert_same_poly(got, want):
+    assert len(got.coeffs) == len(want.coeffs)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert a == b
+        assert a.order == b.order
+        assert a.render() == b.render()
+
+
+def assert_same_series(got, want):
+    assert (got.q, got.trunc) == (want.q, want.trunc)
+    assert list(got.coeffs) == list(want.coeffs)  # slot order too
+    for n, w in want.coeffs.items():
+        g = got.coeffs[n]
+        assert_same_poly(g.num, w.num)
+        assert_same_poly(g.den, w.den)
+        assert g.render() == w.render()
+
+
+ORDERS = (1, 4, 12)
+# 1/(1 + z): the one rational-function coefficient
+RATIONAL = ParamScalar(LPoly([1]), LPoly([1, 1]))
+
+
+@st.composite
+def cycs(draw):
+    order = draw(st.sampled_from(ORDERS))
+    kind = draw(st.sampled_from(["zero", "rational", "root"]))
+    if kind == "zero":
+        return Cyc.zero(order)
+    if kind == "rational":
+        return Cyc.rational(draw(st.integers(-2, 2)), order)
+    return Cyc.zeta(order, draw(st.integers(0, order - 1))) * \
+        draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def scalars(draw):
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return RATIONAL
+    # zeros of any order, order 12 included, can sit inside the polynomial
+    c = ParamScalar(LPoly(draw(st.lists(cycs(), min_size=1, max_size=3))))
+    if kind == 1:
+        # the same polynomial over a one stored at order 4
+        i = Cyc.imaginary_unit()
+        c = c / i * i
+    return c
+
+
+@st.composite
+def laurent_series(draw):
+    coeffs = draw(st.dictionaries(st.integers(-2, 2), scalars(), max_size=3))
+    trunc = draw(st.one_of(st.none(), st.integers(-1, 4)))
+    return LaurentSeries(1, coeffs, trunc)
+
+
+def cancelling_copy(draw, f):
+    """-f with its coefficients lifted to order 12, or only the top
+    z-coefficient of each negated: a product with it empties or shortens
+    the slots an earlier product filled."""
+    top_only = draw(st.booleans())
+    out = {}
+    for n, c in f.coeffs.items():
+        if c.den.is_constant():
+            cs = [-x.lift(12) for x in c.num.coeffs]
+            if top_only:
+                cs = [Cyc.zero(draw(st.sampled_from(ORDERS)))
+                      for _ in cs[:-1]] + cs[-1:]
+            out[n] = ParamScalar(LPoly(cs))
+        else:
+            out[n] = -c
+    return LaurentSeries(f.q, out, f.trunc)
+
+
+@st.composite
+def dot_pairs(draw):
+    """Random pairs, cancelling copies of some of them, more random pairs:
+    a slot that the copies empty or shorten is then added to again."""
+    pair = st.tuples(laurent_series(), laurent_series())
+    head = draw(st.lists(pair, min_size=1, max_size=2))
+    copies = [(x, cancelling_copy(draw, y)) for x, y in head
+              if draw(st.booleans())]
+    pairs = head + copies + draw(st.lists(pair, max_size=2))
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_series(), laurent_series())
+def test_product_matches_the_per_term_fold(f, g):
+    assert_same_series(f * g, ref_mul(f, g))
+    assert_same_series(f + g, ref_add(f, g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_pairs())
+def test_dot_matches_the_per_term_fold(pairs):
+    xs, ys = pairs
+    assert_same_series(LaurentSeries.dot(xs, ys), ref_dot(xs, ys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(laurent_series(), min_size=4, max_size=4),
+       st.lists(laurent_series(), min_size=4, max_size=4))
+def test_matrix_product_matches_the_per_term_fold(a, b):
+    a, b = [a[:2], a[2:]], [b[:2], b[2:]]
+    got = LaurentMatrix(a) * LaurentMatrix(b)
+    for i in range(2):
+        for j in range(2):
+            want = ref_dot(a[i], [b[0][j], b[1][j]])
+            assert_same_series(got.rows[i][j], want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(scalars(), scalars()), min_size=1, max_size=4))
+def test_scalar_dot_matches_the_fold(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    want = xs[0] * ys[0]
+    for x, y in pairs[1:]:
+        want = want + x * y
+    got = ParamScalar.dot(xs, ys)
+    assert_same_poly(got.num, want.num)
+    assert_same_poly(got.den, want.den)
+
+
+def test_an_emptied_slot_is_dropped_before_the_next_product():
+    # i*1 - i*1 empties t^0 at order 12; the third product then stores i
+    # at order 4, where it renders as i and not as zeta^3
+    i4, i12 = Cyc.imaginary_unit(), Cyc.imaginary_unit(12)
+    one = LaurentSeries.one()
+    xs = [LaurentSeries.constant(i4), LaurentSeries.constant(-i12), one]
+    got = LaurentSeries.dot(xs, [one, one, LaurentSeries.constant(i4)])
+    assert_same_series(got, ref_dot(xs, [one, one,
+                                         LaurentSeries.constant(i4)]))
+    assert got.coeffs[0].render() == "i"

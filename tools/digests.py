@@ -12,7 +12,10 @@ documents (one that exits 2 with the minimal polynomial of the first
 non-split factor, one declared over Q with ``cyclotomic_order: 1``), and
 the roots and non-split factors that ``roots_in_field`` finds for a few
 fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12).
-The corpus is ``build_corpus(11, trunc=6)``, all 24 cases.
+The corpus is ``build_corpus(11, trunc=6)``, all 24 cases; its z-degrees
+stay at most 7, so the tool also digests the README ``decompose`` and
+``verify`` reports at ``--truncation 24`` and the gauge of ``ram3-two``
+from ``build_corpus(11, trunc=12)``, where the z-polynomials are longer.
 A call that raises is recorded as its exception type and message instead
 of a digest, so an error that appears, moves or goes away shows up too.
 Standard library only.
@@ -151,7 +154,7 @@ def case_digests(case) -> dict:
     return out
 
 
-def cli_digests(doc: str, commands) -> dict:
+def cli_digests(doc: str, commands, extra=()) -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.wc")
@@ -160,7 +163,8 @@ def cli_digests(doc: str, commands) -> dict:
         for command in commands:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.main(command + ["--input", path, "--json"])
+                code = cli.main(command + ["--input", path, "--json",
+                                           *extra])
             out[" ".join(command)] = digest([code, buf.getvalue()])
     return out
 
@@ -182,6 +186,11 @@ def main() -> int:
               "roots": root_digests()}
     for name, doc in MORE_DOCS.items():
         result[f"cli-{name}"] = cli_digests(doc, MORE_COMMANDS)
+    result["cli-truncation24"] = cli_digests(
+        README_DOC, [["decompose"], ["verify"]], ["--truncation", "24"])
+    case = next(c for c in build_corpus(11, trunc=12) if c.name == "ram3-two")
+    dec, err = guarded(lambda: formal_decompose(case.connection))
+    result["ram3-two-trunc12-gauge"] = err or digest(dec.gauge.render())
     for case in build_corpus(11, trunc=6):
         result[case.name] = case_digests(case)
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
