@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import Cyc, lcm
+from .cyclotomic import Cyc, lcm, render_terms
 from .errors import InsufficientTruncation, WildcycleError
 from .matrices import LaurentMatrix
 from .params import ParamScalar
@@ -94,19 +94,21 @@ class ExpFactor:
             self.q, {-a: c * Fraction(-a) for a, c in self.coeffs.items()})
 
     def cyclotomic_order(self) -> int:
+        """The lcm of the coefficients' conductors."""
         n = 1
         for c in self.coeffs.values():
-            n = lcm(n, c.order)
+            n = lcm(n, c.canonical().order)
         return n
 
     def sort_key(self, common_order: int = None):
-        """Deterministic total order among factors of the same q."""
+        """Deterministic total order among factors of the same q: the
+        coefficients at ``common_order``, a multiple of every conductor."""
         if common_order is None:
             common_order = self.cyclotomic_order()
         items = []
         for a in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[a].lift(common_order)
-            items.append((a, tuple(c.coeffs)))
+            c = self.coeffs[a].canonical().lift(common_order)
+            items.append((a, c.coeffs))
         return (self.pole_order(), tuple(items))
 
     def __eq__(self, other):
@@ -122,22 +124,9 @@ class ExpFactor:
         return hash((red.q, tuple(sorted(red.coeffs))))
 
     def render(self, tvar: str = "t") -> str:
-        if not self.coeffs:
-            return "0"
         var = tvar if self.q == 1 else f"{tvar}_{self.q}"
-        parts = []
-        for a in sorted(self.coeffs, reverse=True):
-            cs = self.coeffs[a].render()
-            power = f"{var}^-{a}"
-            if cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append(f"-{power}")
-            elif "+" in cs or " " in cs or "-" in cs[1:]:
-                parts.append(f"({cs})*{power}")
-            else:
-                parts.append(f"{cs}*{power}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(var, ((-a, self.coeffs[a].render())
+                                  for a in sorted(self.coeffs, reverse=True)))
 
     def __repr__(self):
         return f"ExpFactor(q={self.q}, {self.render()!r})"
@@ -285,6 +274,10 @@ class LambdaConnection:
             order = self.guaranteed_order
             if order is None:
                 order = g.trunc()
+        # G^-1 (A G + z u dG/du): two products; the sum is formed before
+        # the inverse, so its operands are freed first
+        lam = self.lambda_factor()
+        s = self.action * g + g.log_derivative().map(lambda x: x * lam)
         ginv = None
         if g.trunc() is None:
             try:
@@ -293,10 +286,7 @@ class LambdaConnection:
                 ginv = None
         if ginv is None:
             ginv = g.inverse(order)
-        lam = self.lambda_factor()
-        deriv = g.log_derivative().map(lambda s: s * lam)
-        new = ginv * self.action * g + ginv * deriv
-        return LambdaConnection(new, self.q, self.lambda0)
+        return LambdaConnection(ginv * s, self.q, self.lambda0)
 
     def direct_sum(self, other: "LambdaConnection") -> "LambdaConnection":
         if other.q != self.q:

@@ -13,6 +13,11 @@ x^phi(N), ..., x^(N-1) covers every power.  Binary operations between
 elements of different orders lift both to the lcm; the lift
 zeta_N -> zeta_M^(M/N) is injective and compatible with arithmetic.
 
+The order an element is stored at is a choice of the computation, not a
+property of the value.  Everything that shows or orders values reads
+``Cyc.canonical()``, the value stored at its conductor, so no output
+depends on the stored order.
+
 The module also holds the dense polynomial kernel that Fraction, Cyc and
 ParamScalar coefficients share.
 """
@@ -51,9 +56,28 @@ def totient(n: int) -> int:
 # ---------------------------------------------------------------------------
 #
 # One kernel serves Fraction, Cyc and ParamScalar coefficients: it needs only
-# + - * / and truthiness.  ``zero`` is the caller's zero.  A Cyc keeps its
-# order and its rendering depends on it, so the zero a sum starts from, and
-# skipping zero products, decide the order a coefficient is stored at.
+# + - * / and truthiness.  ``zero`` is the caller's zero.  Zero addends and
+# zero products are skipped; the order a Cyc coefficient ends up stored at
+# is never observable, since rendering and ordering read its conductor.
+
+
+def render_terms(var: str, terms) -> str:
+    """The sum of c*var^k over the (k, c) in ``terms``, c a rendered
+    coefficient: a unit c is left out, a compound one parenthesised."""
+    parts = []
+    for k, cs in terms:
+        power = var if k == 1 else f"{var}^{k}"
+        if k == 0:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(power)
+        elif cs == "-1":
+            parts.append(f"-{power}")
+        elif "+" in cs or " " in cs or "-" in cs[1:] or cs.startswith("("):
+            parts.append(f"({cs})*{power}")
+        else:
+            parts.append(f"{cs}*{power}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def poly_trim(a) -> list:
@@ -64,10 +88,17 @@ def poly_trim(a) -> list:
     return a
 
 
-def poly_add(a, b, zero) -> list:
+def poly_add(a, b) -> list:
     if len(a) == 1 == len(b):
         return [a[0] + b[0]]
-    return poly_trim(x + y for x, y in zip_longest(a, b, fillvalue=zero))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, y in enumerate(b):
+        if y:
+            x = out[k]
+            out[k] = x + y if x else y
+    return poly_trim(out)
 
 
 def poly_sub(a, b, zero) -> list:
@@ -76,9 +107,7 @@ def poly_sub(a, b, zero) -> list:
 
 def poly_mul(a, b, zero) -> list:
     """Each slot starts from its first nonzero product, and ``zero`` fills
-    only the slots no product reaches.  A zero of order 1 adds as the
-    identity, so with it the stored orders are those of a sum seeded with
-    ``zero``, without lifting the zero."""
+    only the slots no product reaches."""
     if len(a) == 1 == len(b):
         return [a[0] * b[0]] if a[0] and b[0] else [zero]
     out = [None] * (len(a) + len(b) - 1)
@@ -239,6 +268,33 @@ def _zero_tail(order: int) -> tuple:
     return (0,) * (totient(order) - 1)
 
 
+@lru_cache(maxsize=None)
+def _trace_maps(n: int) -> tuple:
+    """For each prime p | n, (d, degree, index, weight) with d = n/p: the
+    trace from Q(zeta_n) to Q(zeta_d) sends zeta_n^k, k < phi(n), to
+    weight[k] * zeta_d^index[k].
+
+    If p | d, the conjugates zeta_n^k * zeta_p^(jk) sum to p * zeta_d^(k/p)
+    when p | k, else to 0.  Else zeta_n^k = zeta_d^(ak) * zeta_p^(bk) with
+    ap + bd = 1 mod n, and only zeta_p moves: its trace is p - 1 or -1.
+    """
+    out = []
+    ks = range(totient(n))
+    for p in range(2, n + 1):
+        if n % p or any(p % r == 0 for r in range(2, p)):
+            continue
+        d = n // p
+        if d % p == 0:
+            index = tuple(k // p for k in ks)
+            weight = tuple(p if k % p == 0 else 0 for k in ks)
+        else:
+            a = pow(p, -1, d) if d > 1 else 0
+            index = tuple(a * k % d for k in ks)
+            weight = tuple(p - 1 if k % p == 0 else -1 for k in ks)
+        out.append((d, totient(n) // totient(d), index, weight))
+    return tuple(out)
+
+
 class Cyc:
     """An element of Q(zeta_N): ``nums``/``den`` on the power basis.
 
@@ -299,6 +355,25 @@ class Cyc:
         return Cyc.rational(re, 4) + Cyc.rational(im, 4) * Cyc.zeta(4)
 
     # -- order management ---------------------------------------------
+    def canonical(self) -> "Cyc":
+        """The same value stored at its conductor: the least d, with
+        d != 2 mod 4, such that the value lies in Q(zeta_d).
+
+        The orders whose fields hold the value are closed under gcd, so
+        steps down by one prime reach the least: a step to d is taken when
+        the value is the lift of its trace to Q(zeta_d) over the degree.
+        An order 2 mod 4 steps to its odd half, whose field is the same."""
+        if not any(self.nums[1:]):
+            return self if self.order == 1 else _raw(1, self.nums[:1], self.den)
+        for d, degree, index, weight in _trace_maps(self.order):
+            vec = [0] * d
+            for j, w, c in zip(index, weight, self.nums):
+                vec[j] += w * c
+            y = _make(d, _fold(d, totient(d), vec), self.den * degree)
+            if y.lift(self.order) == self:
+                return y.canonical()
+        return self
+
     def lift(self, order: int) -> "Cyc":
         if order == self.order:
             return self
@@ -489,40 +564,13 @@ class Cyc:
 
     # -- rendering ------------------------------------------------------
     def render(self) -> str:
-        """Exact human-readable string, e.g. '1/2 + 3/4*i' or 'zeta^2'."""
-        if self.is_rational():
-            return str(self.as_fraction())
-        coeffs = self.coeffs
-        if self.order == 4:
-            re, im = coeffs
-            parts = []
-            if re:
-                parts.append(str(re))
-            if im:
-                if im == 1:
-                    parts.append("i")
-                elif im == -1:
-                    parts.append("-i")
-                else:
-                    parts.append(f"{im}*i")
-            text = " + ".join(parts).replace("+ -", "- ")
-            return text if text else "0"
-        parts = []
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "zeta" if k == 1 else f"zeta^{k}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text if text else "0"
+        """Exact string of the value on the power basis of its conductor
+        d, so equal values render alike: '-2/3' at d = 1, '1/2 + 3/4*i' at
+        d = 4, and 'zeta_3' or 'zeta_8 - zeta_8^3' (sqrt 2) otherwise."""
+        c = self.canonical()
+        root = "i" if c.order == 4 else f"zeta_{c.order}"
+        return render_terms(root, ((k, str(x)) for k, x in enumerate(c.coeffs)
+                                   if x))
 
     def __repr__(self):
         return f"Cyc({self.order}, {self.render()!r})"

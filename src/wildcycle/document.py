@@ -27,7 +27,7 @@ from .connection import ExpFactor, LambdaConnection
 from .cyclotomic import Cyc
 from .errors import ParseError
 from .matrices import LaurentMatrix
-from .parser import parse_expression
+from .parser import MAX_CYCLOTOMIC_ORDER, parse_expression
 from .series import LaurentSeries
 
 
@@ -133,9 +133,11 @@ class InputDocument:
                 f"ramification {self.ramification} exceeds {MAX_RAMIFICATION}",
                 headers["ramification"][0], 1,
                 expected=[f"ramification of at most {MAX_RAMIFICATION}"])
-        if self.cyclotomic_order < 1:
-            raise ParseError("cyclotomic_order must be at least 1",
-                             headers["cyclotomic_order"][0], 1)
+        if not 1 <= self.cyclotomic_order <= MAX_CYCLOTOMIC_ORDER:
+            raise ParseError(
+                f"cyclotomic_order {self.cyclotomic_order} is not between 1 "
+                f"and {MAX_CYCLOTOMIC_ORDER}", headers["cyclotomic_order"][0], 1,
+                expected=[f"cyclotomic_order of at most {MAX_CYCLOTOMIC_ORDER}"])
         if "lambda0" in headers:
             lineno, value = headers["lambda0"][0], headers["lambda0"][1]
             self.lambda0_points = [self._scalar(v.strip(), lineno)

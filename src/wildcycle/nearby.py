@@ -94,8 +94,9 @@ class DeligneTable:
         return sum(e.dim() for e in self.entries)
 
     def entry_for(self, phi: ExpFactor):
+        rep = _orbit_rep(phi)
         for e in self.entries:
-            if _same_orbit(e.phi, phi):
+            if _orbit_rep(e.phi) == rep:
                 return e
         return None
 
@@ -123,18 +124,17 @@ def _orbit_of(phi: ExpFactor):
     return out
 
 
-def _same_orbit(phi1: ExpFactor, phi2: ExpFactor) -> bool:
-    a, b = phi1.reduce_ramification(), phi2.reduce_ramification()
-    if a.q != b.q:
-        return False
-    return any(b == member for member in _orbit_of(a))
-
-
 def _canonical_orbit_rep(orbit):
+    """The least member, compared at the lcm of the members' conductors:
+    a function of the orbit, so equal germs get equal representatives."""
     common = 1
     for phi in orbit:
         common = lcm(common, phi.cyclotomic_order())
     return min(orbit, key=lambda p: p.sort_key(common))
+
+
+def _orbit_rep(phi: ExpFactor) -> ExpFactor:
+    return _canonical_orbit_rep(_orbit_of(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +302,13 @@ def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None,
     dec = formal_decompose(conn)
     if not folded:
         return _unfolded_table(conn, dec, lam0)
-    # orbits are looked up by member: the canonical representative depends
-    # on the order the coefficients are stored at, germ equality does not
-    orbits, orbit_of = [], {}
+    orbits = {}
     for idx, s in enumerate(dec.summands):
-        if s.phi not in orbit_of:
-            orbit = _orbit_of(s.phi)
-            orbits.append((_canonical_orbit_rep(orbit), orbit, []))
-            orbit_of.update(dict.fromkeys(orbit, orbits[-1]))
-        orbit_of[s.phi][2].append(idx)
+        orbit = _orbit_of(s.phi)
+        rep = _canonical_orbit_rep(orbit)
+        orbits.setdefault(rep, (rep, orbit, []))[2].append(idx)
     entries = []
-    for rep, orbit, members in orbits:
+    for rep, orbit, members in orbits.values():
         if not is_t_irreducible(rep):
             raise InternalInvariantError("orbit representative is reducible")
         twisted = conn.ramify_pullback(rep.q).twist_exponential(rep, sign=-1)
@@ -416,7 +412,7 @@ def _push_table_down(table: DeligneTable, q: int, lam0: Cyc) -> DeligneTable:
             [t for r in e.rows for t in _spread_datum(r, q)], lam0)
         placed = False
         for existing in entries:
-            if _same_orbit(existing.phi, rep):
+            if existing.phi == rep:
                 existing.rows = _gather_rows(
                     [(r.beta, r.dim, r.nilpotent)
                      for r in existing.rows + new_rows], lam0)

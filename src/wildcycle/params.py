@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, poly_add, poly_divmod, poly_gcd, poly_mul
+from .cyclotomic import (Cyc, poly_add, poly_divmod, poly_gcd, poly_mul,
+                         render_terms)
 from .errors import DenominatorVanishes, WildcycleError
 
 # The zero LPoly arithmetic starts from; Cyc values are never mutated, so one
@@ -74,7 +75,7 @@ class LPoly:
     def __add__(self, other):
         if not isinstance(other, LPoly):
             other = LPoly.constant(other)
-        return LPoly(poly_add(self.coeffs, other.coeffs, C0))
+        return LPoly(poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -133,26 +134,8 @@ class LPoly:
         return hash(tuple(self.coeffs))
 
     def render(self, var: str = "z") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cs = c.render()
-            if k == 0:
-                parts.append(cs)
-                continue
-            power = var if k == 1 else f"{var}^{k}"
-            if cs == "1":
-                parts.append(power)
-            elif cs == "-1":
-                parts.append(f"-{power}")
-            elif "+" in cs or ("-" in cs[1:]) or " " in cs:
-                parts.append(f"({cs})*{power}")
-            else:
-                parts.append(f"{cs}*{power}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(var, ((k, c.render())
+                                  for k, c in enumerate(self.coeffs) if c))
 
     def __repr__(self):
         return f"LPoly({self.render()!r})"
@@ -206,18 +189,12 @@ class ParamScalar:
 
     @staticmethod
     def dot(xs, ys) -> "ParamScalar":
-        """sum x*y, equal to the left fold of ``*`` and ``+`` (whose sum has
-        the first factor's denominator): on coefficient lists up to the first
-        rational-function factor, in ParamScalar arithmetic from there."""
-        acc, den = None, xs[0].den
+        """sum x*y: on coefficient lists up to the first rational-function
+        factor, in ParamScalar arithmetic from there."""
+        acc = None
         for x, y in zip(xs, ys):
-            xc, yc = poly_coeffs(x), poly_coeffs(y)
-            if type(acc) is ParamScalar or not (xc and yc):
-                acc = x * y if acc is None else as_scalar(acc, den) + x * y
-            else:
-                p = poly_mul(xc, yc, C0)
-                acc = p if acc is None else poly_add(acc, p, C0)
-        return as_scalar(acc, den)
+            acc = add_product(acc, x, y)
+        return as_scalar(acc)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -317,20 +294,27 @@ class ParamScalar:
         return f"ParamScalar({self.render()!r})"
 
 
-def poly_coeffs(c: ParamScalar):
-    """The numerator's coefficients of a polynomial ``c``, else None."""
-    return c.num.coeffs if c.den is ONE or _lpoly_is_one(c.den) else None
+def add_product(acc, x, y):
+    """acc + x*y for ParamScalars x and y, with ``acc`` None (empty), a
+    coefficient list, or a ParamScalar once a rational function appears:
+    polynomials (denominator one) multiply as coefficient lists."""
+    xd, yd = x.den, y.den
+    if type(acc) is ParamScalar or not ((xd is ONE or _lpoly_is_one(xd))
+                                        and (yd is ONE or _lpoly_is_one(yd))):
+        return x * y if acc is None else as_scalar(acc) + x * y
+    p = poly_mul(x.num.coeffs, y.num.coeffs, C0)
+    return p if acc is None else poly_add(acc, p)
 
 
-def as_scalar(c, den=ONE) -> ParamScalar:
-    """``c`` itself, or the trimmed Cyc list ``c`` as a polynomial over the
-    one ``den``, built without the constructor's checks."""
+def as_scalar(c) -> ParamScalar:
+    """``c`` itself, or the trimmed Cyc list ``c`` as a polynomial, built
+    without the constructor's checks."""
     if type(c) is ParamScalar:
         return c
     num = _new(LPoly)
     num.coeffs = tuple(c)
     out = _new(ParamScalar)
-    out.num, out.den = num, den
+    out.num, out.den = num, ONE
     return out
 
 

@@ -8,18 +8,19 @@ operations propagate the guaranteed order pessimistically; an operation
 refuses (raises :class:`InsufficientTruncation`) rather than emit digits it
 cannot certify.
 
-Products run on coefficient lists: a t-slot of a product, or of a sum of
-products (:meth:`LaurentSeries.dot`), accumulates z-polynomial numerators
-with ``poly_mul``/``poly_add`` and is wrapped into a ParamScalar once.
+Products run on coefficient lists: a product, or a sum of products
+(:meth:`LaurentSeries.dot`), adds each term pair into its t-slot with the
+accumulator of :meth:`ParamScalar.dot`, which sums z-polynomial numerators
+with ``poly_mul``/``poly_add``, and wraps each slot into a ParamScalar once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyc, lcm, poly_add, poly_mul
+from .cyclotomic import Cyc, lcm, render_terms
 from .errors import InsufficientTruncation, WildcycleError
-from .params import C0, ONE, PS0, PS1, ParamScalar, as_scalar, poly_coeffs
+from .params import PS0, PS1, ParamScalar, add_product, as_scalar
 
 _INF = float("inf")
 
@@ -39,10 +40,6 @@ def _product_trunc(x, y):
     t = min(x.trunc + y.valuation_bound() if x.trunc is not None else _INF,
             y.trunc + x.valuation_bound() if y.trunc is not None else _INF)
     return None if t == _INF else int(t)  # a zero factor kills the tail
-
-
-def _is_zero(c) -> bool:
-    return not any(c) if type(c) is list else c.is_zero()
 
 
 class LaurentSeries:
@@ -130,8 +127,7 @@ class LaurentSeries:
         t = _min_trunc(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = (out[n] + c if n in out  # PS0 + c is c when over ONE
-                      else c if c.den is ONE else PS0 + c)
+            out[n] = out[n] + c if n in out else c
         return LaurentSeries(self.q, out, t)
 
     __radd__ = __add__
@@ -159,49 +155,24 @@ class LaurentSeries:
 
     @staticmethod
     def dot(xs, ys) -> "LaurentSeries":
-        """sum_k xs[k] * ys[k], equal to the left fold of ``*`` and ``+``.
-
-        A Cyc renders at its stored order, so this trims and drops where the
-        fold does: ``poly_add`` trims after each add, a product's zero slot
-        is dropped before the product joins the sum, and a slot the sum
-        empties is dropped.  Rational functions take ParamScalar arithmetic
-        as in the fold; terms past the sum's guaranteed order are skipped."""
+        """sum_k xs[k] * ys[k]: each term pair is added into its t-slot by
+        ``params.add_product``, the accumulator of :meth:`ParamScalar.dot`.
+        Terms at or past the sum's guaranteed order are skipped."""
         q, t = xs[0].q, None
         for x, y in zip(xs, ys):
             x._check_q(y)
             xs[0]._check_q(x)
             t = _min_trunc(t, _product_trunc(x, y))
         limit = _INF if t is None else t
-        acc = {}
-        for k, (x, y) in enumerate(zip(xs, ys)):
-            prod = {}
-            yterms = [(b, poly_coeffs(c), c) for b, c in y.coeffs.items()]
+        slots = {}
+        for x, y in zip(xs, ys):
+            yterms = y.coeffs.items()
             for a, xp in x.coeffs.items():
-                xc = poly_coeffs(xp)
-                for b, yc, yp in yterms:
-                    n = a + b
-                    if n >= limit:
-                        continue
-                    cur = prod.get(n)
-                    if xc and yc and type(cur) is not ParamScalar:
-                        p = poly_mul(xc, yc, C0)
-                        prod[n] = p if cur is None else poly_add(cur, p, C0)
-                    else:
-                        prod[n] = as_scalar(PS0 if cur is None else cur) + xp * yp
-            for n, c in prod.items():
-                if _is_zero(c):
-                    continue
-                s = acc.get(n)
-                if s is None:
-                    acc[n] = c if k == 0 or type(c) is list else PS0 + c
-                    continue
-                s = (poly_add(s, c, C0) if type(s) is list and type(c) is list
-                     else as_scalar(s) + as_scalar(c))
-                if _is_zero(s):
-                    del acc[n]
-                else:
-                    acc[n] = s
-        return LaurentSeries(q, {n: as_scalar(c) for n, c in acc.items()}, t)
+                for b, yp in yterms:
+                    if a + b < limit:
+                        slots[a + b] = add_product(slots.get(a + b), xp, yp)
+        return LaurentSeries(q, {n: as_scalar(acc)
+                                 for n, acc in slots.items()}, t)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t_q^k."""
@@ -284,29 +255,8 @@ class LaurentSeries:
                 and self.agrees_with(other))
 
     def render(self, tvar: str = "t", lvar: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n in self.support():
-            c = self.coeffs[n]
-            cs = c.render(lvar)
-            needs_parens = ("+" in cs or " " in cs or
-                            ("-" in cs[1:]) or cs.startswith("(")) and n != 0
-            if cs.startswith("(") and cs.endswith(")"):
-                needs_parens = False if n == 0 else needs_parens
-            if n == 0:
-                parts.append(cs if not needs_parens else f"({cs})")
-                continue
-            tpow = tvar if n == 1 else f"{tvar}^{n}"
-            if cs == "1":
-                parts.append(tpow)
-            elif cs == "-1":
-                parts.append(f"-{tpow}")
-            elif needs_parens:
-                parts.append(f"({cs})*{tpow}")
-            else:
-                parts.append(f"{cs}*{tpow}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(tvar, ((n, self.coeffs[n].render(lvar))
+                                   for n in self.support()))
 
     def __repr__(self):
         tail = "" if self.trunc is None else f" + O(t^{self.trunc})"

@@ -226,13 +226,13 @@ def formal_decompose(conn: LambdaConnection, order=None) -> FormalDecomposition:
             if rel > 64:
                 raise NonTerminating("ramification requirement did not settle")
             continue
-        return _assemble(conn, leaves, gauge, rel, ctx)
+        return _assemble(conn, leaves, gauge, rel)
     raise NonTerminating("too many ramification restarts")
 
 
-def _assemble(conn, leaves, gauge, rel, ctx) -> FormalDecomposition:
+def _assemble(conn, leaves, gauge, rel) -> FormalDecomposition:
     # canonical order: pole order of phi, then coefficient key, then rank
-    common = ctx.field_order
+    common = 1
     for phi, _ in leaves:
         common = lcm(common, phi.cyclotomic_order())
     keyed = []

@@ -9,7 +9,7 @@ import pytest
 from wildcycle import cli
 from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
                                 MAX_SERIES_ORDER, MAX_TRUNCATION)
-from wildcycle.parser import MAX_EXPONENT
+from wildcycle.parser import MAX_CYCLOTOMIC_ORDER, MAX_EXPONENT
 from wildcycle.report import Report
 
 DOC_IRREGULAR = """\
@@ -229,6 +229,13 @@ OVER_THE_CAPS = [
     pytest.param("rank: 1\nmellin_beta: 1/2\nmellin_ell: 100000\nmatrix:\n0\n",
                  (), f"mellin_ell 100000 exceeds {MAX_MELLIN_POWER}",
                  id="mellin-ell"),
+    pytest.param(f"cyclotomic_order: {MAX_CYCLOTOMIC_ORDER + 1}\nrank: 1\n"
+                 "truncation: 4\nmatrix:\nzeta*t^-1\n", (),
+                 f"between 1 and {MAX_CYCLOTOMIC_ORDER}",
+                 id="cyclotomic-order"),
+    pytest.param(f"rank: 1\ntruncation: 4\nmatrix:\n"
+                 f"zeta_{MAX_CYCLOTOMIC_ORDER + 1}*t^-1\n", (),
+                 f"N <= {MAX_CYCLOTOMIC_ORDER}", id="zeta-order"),
 ]
 
 

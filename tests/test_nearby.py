@@ -7,7 +7,7 @@ import pytest
 
 from wildcycle.connection import ExpFactor, LambdaConnection
 from wildcycle.corpus import _conjugate, build_corpus
-from wildcycle.cyclotomic import Cyc
+from wildcycle.cyclotomic import Cyc, lcm
 from wildcycle.errors import (InternalInvariantError, NotStarShaped,
                               WildcycleError)
 from wildcycle.exponents import ComplexExponent, star
@@ -17,7 +17,7 @@ from wildcycle.nearby import (DeligneTable, _certified_rank,
                               deligne_nearby_cycles, is_t_irreducible,
                               ramification_transport, regular_part,
                               tables_equal)
-from wildcycle.params import PS1
+from wildcycle.params import LPoly, PS1, ParamScalar
 from wildcycle.series import LaurentSeries
 from wildcycle.turrittin import formal_decompose
 
@@ -289,6 +289,51 @@ def test_one_decomposition_per_input(corpus_cases, monkeypatch, name):
     table = deligne_nearby_cycles(corpus_cases[name])
     assert table.total_dim() == corpus_cases[name].rank
     assert calls == [1]
+
+
+def lifted(conn, m):
+    """``conn`` with every coefficient stored at order lcm(order, m)."""
+    def lift(poly):
+        return LPoly([c.lift(lcm(c.order, m)) for c in poly.coeffs])
+    rows = [[LaurentSeries(x.q, {n: ParamScalar(lift(c.num), lift(c.den))
+                                 for n, c in x.coeffs.items()}, x.trunc)
+             for x in row] for row in conn.action.rows]
+    return LambdaConnection(LaurentMatrix(rows, conn.q), conn.q,
+                            conn.lambda0)
+
+
+@pytest.mark.parametrize("name", sorted({**GOLDEN_REGULAR_ROWS,
+                                         **GOLDEN_IRREGULAR_TABLES}))
+def test_stored_orders_do_not_reach_the_answers(corpus_cases, monkeypatch,
+                                                name):
+    # the same module with its coefficients stored at a multiple of 5:
+    # every field the engine works in changes, the answers may not
+    m = corpus_cases[name]
+    big = lifted(m, 5)
+    assert big.cyclotomic_order() % 5 == 0
+    assert all(x == y for r, s in zip(big.action.rows, m.action.rows)
+               for x, y in zip(r, s))
+    decs = []
+
+    def kept(conn, *args, **kwargs):
+        decs.append(formal_decompose(conn, *args, **kwargs))
+        return decs[-1]
+
+    monkeypatch.setattr(nearby, "formal_decompose", kept)
+    tables = [deligne_nearby_cycles(c).as_json() for c in (m, big)]
+    phis = [[s.phi.render() for s in dec.summands] for dec in decs]
+    assert len(decs) == 2 and phis[0] == phis[1]
+    assert tables[0] == tables[1]
+
+
+def test_one_germ_one_orbit_representative():
+    # one germ, its coefficient stored at orders 3 and 12
+    a = ExpFactor(3, {1: Cyc.rational(1, 3)})
+    b = ExpFactor(3, {1: Cyc.rational(1, 12)})
+    assert a == b
+    rep_a = nearby._canonical_orbit_rep(nearby._orbit_of(a))
+    rep_b = nearby._canonical_orbit_rep(nearby._orbit_of(b))
+    assert rep_a == rep_b and rep_a.render() == rep_b.render()
 
 
 REAL_EXPONENT_CASES = ["reg-rank1-zero", "reg-rank1-half", "reg-rank2-distinct",

@@ -11,8 +11,8 @@ from wildcycle.document import (MAX_MELLIN_POWER, MAX_RAMIFICATION, MAX_RANK,
                                 InputDocument)
 from wildcycle.errors import ParseError, UnsupportedExponent
 from wildcycle.params import ParamScalar
-from wildcycle.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING,
-                              parse_expression)
+from wildcycle.parser import (MAX_CYCLOTOMIC_ORDER, MAX_DIGITS, MAX_EXPONENT,
+                              MAX_NESTING, parse_expression)
 
 
 def test_basic_expression():
@@ -69,6 +69,37 @@ def test_zeta_requires_order():
         parse_expression("zeta", cyclotomic_order=1)
     s = parse_expression("zeta^2", cyclotomic_order=8)
     assert s.coeff(0).as_cyc() == Cyc.zeta(8) ** 2
+
+
+def test_zeta_with_its_order():
+    # reports name the root's order; zeta_N reads it back in any document
+    assert parse_expression("zeta_12^3").coeff(0).as_cyc() == Cyc.zeta(4)
+    s = parse_expression("(-1 - zeta_3)*t^-1 + 2*zeta_8^3", cyclotomic_order=4)
+    assert s.coeff(-1).as_cyc() == Cyc.zeta(3, 2)
+    assert s.coeff(0).as_cyc() == 2 * Cyc.zeta(8, 3)
+    assert s.render() == "(-1 - zeta_3)*t^-1 + 2*zeta_8^3"
+
+
+def test_cyclotomic_order_is_capped():
+    top = f"zeta_{MAX_CYCLOTOMIC_ORDER}"
+    assert parse_expression(top).coeff(0).as_cyc() == \
+        Cyc.zeta(MAX_CYCLOTOMIC_ORDER)
+    for text in (f"zeta_{MAX_CYCLOTOMIC_ORDER + 1}", "zeta_0",
+                 "zeta_" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"N <= {MAX_CYCLOTOMIC_ORDER}"):
+            parse_expression(text)
+    # only ASCII digits name an order: str.isalnum passes Arabic-Indic ones
+    for text in ("zeta_\u0661\u0662", "zeta_", "zeta_1x"):
+        with pytest.raises(ParseError, match="unknown name"):
+            parse_expression(text)
+    header = f"cyclotomic_order: {MAX_CYCLOTOMIC_ORDER}\nrank: 1\nmatrix:\n1\n"
+    assert InputDocument.parse(header).cyclotomic_order == MAX_CYCLOTOMIC_ORDER
+    over = header.replace(f": {MAX_CYCLOTOMIC_ORDER}",
+                          f": {MAX_CYCLOTOMIC_ORDER + 1}")
+    with pytest.raises(ParseError,
+                       match=f"between 1 and {MAX_CYCLOTOMIC_ORDER}") as err:
+        InputDocument.parse(over)
+    assert err.value.line == 1
 
 
 def test_unknown_name():

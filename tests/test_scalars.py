@@ -10,6 +10,7 @@ from wildcycle.cyclotomic import (Q0, Cyc, cyclotomic_polynomial, lcm,
                                   poly_divmod, totient)
 from wildcycle.errors import DenominatorVanishes
 from wildcycle.params import LPoly, ParamScalar
+from wildcycle.parser import parse_expression
 
 
 ORDERS = [1, 2, 3, 4, 8, 12]
@@ -250,8 +251,39 @@ def test_equal_values_at_different_orders(xa, m):
     assert (x + 1 == y) is False
 
 
+def galois_conductor(x):
+    """The least e | N, e != 2 mod 4, whose field Q(zeta_e) holds x: the
+    fixed field of the sigma_a, zeta_N -> zeta_N^a, with a = 1 mod e."""
+    n = x.order
+    for e in range(1, n + 1):
+        if n % e or e % 4 == 2:
+            continue
+        fixed = True
+        for a in range(1, n):
+            if gcd(a, n) == 1 and a % e == 1 % e:
+                vec = [Fraction(0)] * n
+                for k, c in enumerate(x.coeffs):
+                    vec[k * a % n] += c
+                fixed = fixed and Cyc(n, vec) == x
+        if fixed:
+            return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_elements(), st.sampled_from([1, 2, 3, 5]))
+def test_render_is_read_at_the_conductor(xa, m):
+    x, _ = xa
+    c = x.canonical()
+    assert c == x and c.order == galois_conductor(x)
+    assert x.lift(x.order * m).render() == x.render()
+    assert x.lift(x.order * m).canonical().order == c.order
+    back = parse_expression(x.render()).coeff(0)
+    assert back == x and back.render() == x.render()
+
+
 def test_zero_order_decides_rendering():
+    # the order of the zero the sum starts from does not reach the render:
+    # a value renders at its conductor
     i = Cyc.imaginary_unit()
-    assert (Cyc.zero(12) + i).render() == "zeta^3"
+    assert (Cyc.zero(12) + i).render() == "i"
     assert (Cyc.zero() + i).render() == "i"
-    assert (Cyc.zero(12) + i).order == 12 and (Cyc.zero() + i).order == 4

@@ -9,7 +9,9 @@ table is computed on its own disc and pushed down), and the ``--json``
 reports of the seven CLI commands on the README example,
 the reports of decompose, verify, nearby and regularity on two more
 documents (one that exits 2 with the minimal polynomial of the first
-non-split factor, one declared over Q with ``cyclotomic_order: 1``), and
+non-split factor, one declared over Q with ``cyclotomic_order: 1``), the
+decompose and nearby reports of a document declared at
+``cyclotomic_order: 12`` whose entries lie in Q(zeta_3), and
 the roots and non-split factors that ``roots_in_field`` finds for a few
 fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12).
 The corpus is ``build_corpus(11, trunc=6)``, all 24 cases; its z-degrees
@@ -86,6 +88,16 @@ matrix:
 2*t^-2, 0
 """
 MORE_DOCS = {"nonsplit": NONSPLIT_DOC, "order-one": ORDER_ONE_DOC}
+# Declared over Q(zeta_12), with every entry in Q(zeta_3) (zeta^4 = zeta_3):
+# its reports print values at their conductor, whatever the header says.
+ORDER_TWELVE_DOC = """\
+cyclotomic_order: 12
+rank: 2
+truncation: 8
+matrix:
+zeta^4*t^-1, 1
+0, (-1 - zeta^4)*t^-2 + 1/3
+"""
 MORE_COMMANDS = [["decompose"], ["verify"], ["nearby"], ["regularity"]]
 # Polynomials over Q (low degree first) whose roots_in_field answers are
 # digested at orders 1, 2, 4 and 12: Swinnerton-Dyer x^4 - 10x^2 + 1,
@@ -186,6 +198,8 @@ def main() -> int:
               "roots": root_digests()}
     for name, doc in MORE_DOCS.items():
         result[f"cli-{name}"] = cli_digests(doc, MORE_COMMANDS)
+    result["cli-order-twelve"] = cli_digests(
+        ORDER_TWELVE_DOC, [["decompose"], ["nearby"]])
     result["cli-truncation24"] = cli_digests(
         README_DOC, [["decompose"], ["verify"]], ["--truncation", "24"])
     case = next(c for c in build_corpus(11, trunc=12) if c.name == "ram3-two")
