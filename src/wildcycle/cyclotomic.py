@@ -180,25 +180,6 @@ def cyclotomic_polynomial(n: int) -> tuple:
     return tuple(quo)
 
 
-def _mobius(n: int) -> int:
-    out, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if n > 1 else out
-
-
-@lru_cache(maxsize=None)
-def _trace_weights(n: int) -> tuple:
-    """Tr(zeta_n^k)/phi(n) = mu(m)/phi(m), m = n/gcd(k, n), for k < phi(n)."""
-    ms = [n // gcd(k, n) for k in range(totient(n))]
-    return tuple(Fraction(_mobius(m), totient(m)) for m in ms)
-
-
 @lru_cache(maxsize=None)
 def _fold_rows(n: int) -> tuple:
     """x^k mod Phi_n for phi(n) <= k < n, as sparse integer rows ((j, c), ...).
@@ -553,11 +534,12 @@ class Cyc:
         return a.nums == b.nums
 
     def __hash__(self):
-        # Tr(x)/phi(N) does not change when x is lifted to a larger order,
-        # and for a rational x it is x itself
-        weights = _trace_weights(self.order)
-        return hash(sum((x * w for x, w in zip(self.nums, weights) if x), Q0)
-                    / self.den)
+        # equal values share their canonical form, and a rational hashes as
+        # the Fraction (or int) it equals
+        c = self.canonical()
+        if c.order == 1:
+            return hash(Fraction(c.nums[0], c.den))
+        return hash((c.order, c.nums, c.den))
 
     def __bool__(self):
         return any(self.nums)

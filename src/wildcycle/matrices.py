@@ -2,8 +2,11 @@
 truncated Laurent series.
 
 Constant matrices (entries :class:`ParamScalar` or :class:`Cyc`) get plain
-Gaussian elimination.  Series matrices use valuation-aware pivoting and
-refuse to certify ranks or inverses past the guaranteed order.
+Gaussian elimination.  Series matrices have one elimination,
+:func:`gauss_jordan`, which pivots by least certified valuation and
+certifies each pivot's inverse only to the digits its entries earn; the
+inverse, :func:`solve`, the rank of a projector and the action induced on
+its image all run through it.
 """
 
 from __future__ import annotations
@@ -61,16 +64,14 @@ def identity(n, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def charpoly(a, one, zero):
+def charpoly(a, one):
     """Monic characteristic polynomial det(X*I - A), coefficients low first.
 
     Faddeev-LeVerrier; only ring operations and division by integers.
     """
     n = len(a)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
+    coeffs = [one] * (n + 1)
     m = [row[:] for row in a]
-    c = one
     for k in range(1, n + 1):
         tr = m[0][0]
         for i in range(1, n):
@@ -330,9 +331,6 @@ class LaurentMatrix:
         return LaurentMatrix(
             [[x * other for x in row] for row in self.rows], self.q)
 
-    def scale_series(self, s: LaurentSeries) -> "LaurentMatrix":
-        return LaurentMatrix([[x * s for x in row] for row in self.rows], self.q)
-
     def log_derivative(self) -> "LaurentMatrix":
         return LaurentMatrix(
             [[x.log_derivative() for x in row] for row in self.rows], self.q)
@@ -351,9 +349,7 @@ class LaurentMatrix:
 
     def charpoly(self):
         """Monic char poly of the matrix; coefficients are Laurent series."""
-        one = LaurentSeries.one(self.q, self.trunc())
-        zero = LaurentSeries.zero(self.q, self.trunc())
-        return charpoly(self.rows, one, zero)
+        return charpoly(self.rows, LaurentSeries.one(self.q, self.trunc()))
 
     def leading_matrix(self, at_order: int):
         """Constant matrix of coefficients of t_q^at_order."""
@@ -366,81 +362,14 @@ class LaurentMatrix:
                 for row in self.rows]
 
     def inverse(self, order=None) -> "LaurentMatrix":
-        """Inverse certified to the given order via Gauss-Jordan.
-
-        Pivots are chosen by minimal certified valuation.  Raises
-        :class:`SingularGauge` when the matrix is not invertible over the
-        Laurent field and :class:`InsufficientTruncation` when invertibility
-        cannot be certified from the known digits.  Without an order the
-        matrix must be exact with monomial determinant (shears, constant
-        gauges); the inverse is then exact.
-        """
-        n = self.nrows
-        if n != self.ncols:
+        """Inverse certified to the given order: :func:`solve` with the
+        identity on the right.  Without an order, an exact matrix whose
+        pivots are exact monomials (shears, constant gauges) gets its exact
+        inverse."""
+        if self.nrows != self.ncols:
             raise WildcycleError("inverse of a non-square matrix")
-        if order is None:
-            order = self.trunc()
-        if order is None:
-            return self._inverse_exact()
-        work = [[self.rows[i][j].truncate(order) for j in range(n)]
-                + [LaurentSeries.one(self.q, order) if i == j
-                   else LaurentSeries.zero(self.q, order) for j in range(n)]
-                for i in range(n)]
-        for col in range(n):
-            pivot, pv = None, None
-            for i in range(col, n):
-                x = work[i][col]
-                v = x.valuation()
-                if v is not None and (pv is None or v < pv):
-                    pivot, pv = i, v
-            if pivot is None:
-                unknown = any(work[i][col].trunc is not None for i in range(col, n))
-                if unknown:
-                    raise InsufficientTruncation(
-                        "cannot certify a pivot in matrix inversion")
-                raise SingularGauge("matrix is singular over the Laurent field")
-            work[col], work[pivot] = work[pivot], work[col]
-            target = order if order is not None else 2 * n
-            p = work[col][col]
-            if p.trunc is not None:
-                avail = p.trunc - 2 * p.valuation()
-                if avail <= -p.valuation():
-                    raise InsufficientTruncation(
-                        "pivot too short to invert in matrix inversion")
-                target = min(target, avail)
-            inv = p.invert(target)
-            work[col] = [x * inv for x in work[col]]
-            for i in range(n):
-                if i != col:
-                    f = work[i][col]
-                    if not f.is_zero_to_order():
-                        work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-        return LaurentMatrix([[work[i][n + j] for j in range(n)]
-                              for i in range(n)], self.q)
-
-    def _inverse_exact(self) -> "LaurentMatrix":
-        """Exact inverse via the characteristic polynomial.
-
-        Needs an exact matrix whose determinant is a single monomial (the
-        case of shears and constant-coefficient gauges):
-        A^-1 = -(A^{n-1} + a_{n-1} A^{n-2} + ... + a_1 I)/a_0.
-        """
-        n = self.nrows
-        cp = self.charpoly()
-        a0 = cp[0]
-        if a0.is_zero_to_order():
-            raise SingularGauge("matrix is singular over the Laurent field")
-        if len(a0.coeffs) != 1:
-            raise InsufficientTruncation(
-                "exact inverse needs a monomial determinant; supply an order")
-        v = a0.valuation()
-        inv0 = LaurentSeries.monomial(a0.coeffs[v].inverse(), -v, self.q)
-        # Horner: B = A^{n-1} + a_{n-1} A^{n-2} + ... + a_1 I
-        b = LaurentMatrix.identity_matrix(n, self.q)
-        for k in range(n - 1, 0, -1):
-            b = self * b
-            b = b + LaurentMatrix.identity_matrix(n, self.q).scale_series(cp[k])
-        return b.scale_series(-inv0)
+        return solve(self, LaurentMatrix.identity_matrix(self.nrows, self.q),
+                     order)
 
     def agrees_with(self, other: "LaurentMatrix") -> bool:
         return all(self.rows[i][j].agrees_with(other.rows[i][j])
@@ -452,3 +381,68 @@ class LaurentMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(x.render() for x in row) for row in self.rows)
         return f"LaurentMatrix(q={self.q}, [{body}])"
+
+
+def gauss_jordan(rows, width: int, order=None):
+    """Valuation-pivoted Gauss-Jordan on the first ``width`` columns of a
+    matrix of Laurent series: the one elimination over series.
+
+    Entries are cut at ``order`` first.  In each column the pivot is the
+    first row below the pivots found so far with the least certified
+    valuation v; it is swapped up, scaled by its inverse, certified to
+    min(order, trunc - 2v) or exact when the pivot is an exact monomial,
+    and cleared from every other row.  A column whose remaining entries are
+    zero to their certified order has no pivot.  Returns the reduced rows
+    and the pivot columns; row k holds the pivot of column ``pivots[k]``.
+    """
+    work = [[x.truncate(order) for x in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        pivot, pv = None, None
+        for i in range(r, len(work)):
+            v = work[i][col].valuation()
+            if v is not None and (pv is None or v < pv):
+                pivot, pv = i, v
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        p = work[r][col]
+        if p.trunc is not None:
+            avail = p.trunc - 2 * pv
+            inv = p.invert(avail if order is None else min(order, avail))
+        elif len(p.coeffs) == 1:
+            inv = LaurentSeries.monomial(p.coeffs[pv].inverse(), -pv, p.q)
+        else:
+            raise InsufficientTruncation(
+                "an exact pivot that is not a monomial needs an order")
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][col]
+                if not f.is_zero_to_order():
+                    work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def solve(a: LaurentMatrix, b: LaurentMatrix, order=None) -> LaurentMatrix:
+    """X with A X = B for square A, certified to ``order`` (default: the
+    guaranteed order of the entries; exact when every entry is).
+
+    Raises :class:`SingularGauge` when an exact A is singular, and
+    :class:`InsufficientTruncation` when the known digits certify no pivot
+    or, without an order, a pivot is exact but not a monomial.
+    """
+    n = a.nrows
+    if order is None:
+        order = min((t for t in (a.trunc(), b.trunc()) if t is not None),
+                    default=None)
+    work, pivots = gauss_jordan([ra + rb for ra, rb in zip(a.rows, b.rows)],
+                                n, order)
+    if len(pivots) < n:
+        if order is None:
+            raise SingularGauge("matrix is singular over the Laurent field")
+        raise InsufficientTruncation(
+            "cannot certify a pivot in matrix inversion")
+    return LaurentMatrix([row[n:] for row in work], a.q)

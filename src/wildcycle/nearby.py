@@ -30,7 +30,7 @@ from .connection import ExpFactor, LambdaConnection
 from .cyclotomic import Cyc, lcm
 from .errors import InternalInvariantError
 from .exponents import ell
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, gauss_jordan
 from .regular import (NearbyCycleDatum, model_point, monodromy_filtration,
                       psi_beta, reduce_to_constant)
 from .reduction import apply_operator
@@ -177,12 +177,12 @@ def regular_part(conn: LambdaConnection, dec: FormalDecomposition,
               for i in range(n)]
     proj = gauge * LaurentMatrix(e_rows, gauge.q) * ginv
     down = _descend_matrix(proj, rel, conn.q)
-    cols = [[down.rows[i][j] for i in range(n)] for j in range(n)]
     rank = sum(indicator)
-    picked = _certified_independent(cols, rank, conn.q, as_columns=True)
-    if len(picked) != rank:
+    _, pivots = gauss_jordan(down.rows, n, work)
+    if len(pivots) < rank:
         raise InternalInvariantError("projector image has unexpected rank")
-    return _induced_action(conn, [cols[j] for j in picked], work)
+    return _induced_action(conn, [[row[j] for row in down.rows]
+                                  for j in pivots[:rank]], work)
 
 
 def _descend_matrix(mat: LaurentMatrix, rel: int, q_target: int) -> LaurentMatrix:
@@ -203,80 +203,24 @@ def _descend_matrix(mat: LaurentMatrix, rel: int, q_target: int) -> LaurentMatri
     return LaurentMatrix(rows, q_target)
 
 
-def _certified_independent(vectors, want: int, q: int, as_columns: bool):
-    """Indices of the first ``want`` greedily certified-independent vectors.
-
-    Each trial set is laid out as the columns (or rows) of a matrix and
-    kept when :func:`_certified_rank` certifies its full rank.
-    """
-    picked = []
-    for idx, vec in enumerate(vectors):
-        trial = [vectors[j] for j in picked] + [vec]
-        if as_columns:
-            trial = [[v[i] for v in trial] for i in range(len(vec))]
-        if _certified_rank(LaurentMatrix(trial, q)) == len(picked) + 1:
-            picked.append(idx)
-        if len(picked) == want:
-            break
-    return picked
-
-
-def _certified_rank(mat: LaurentMatrix) -> int:
-    work = [[x for x in row] for row in mat.rows]
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    used_rows = set()
-    for col in range(ncols):
-        pivot, pv = None, None
-        for i in range(nrows):
-            if i in used_rows:
-                continue
-            v = work[i][col].valuation()
-            if v is not None and (pv is None or v < pv):
-                pivot, pv = i, v
-        if pivot is None:
-            continue
-        used_rows.add(pivot)
-        rank += 1
-        lead = work[pivot][col]
-        # a pivot of valuation pv is certified to invert only trunc - 2*pv
-        inv = lead.invert((8 if lead.trunc is None else lead.trunc) - 2 * pv)
-        for i in range(nrows):
-            if i != pivot and i not in used_rows:
-                f = work[i][col]
-                if not f.is_zero_to_order():
-                    mult = f * inv
-                    work[i] = [a - mult * b for a, b in zip(work[i], work[pivot])]
-    return rank
-
-
 def _induced_action(conn: LambdaConnection, basis, order):
-    """Matrix of the operator on the span of ``basis`` (an invariant space)."""
-    n = conn.rank
+    """Matrix C of the operator on the span of ``basis``, an invariant
+    space: L(B) = B C for B with the basis as columns.
+
+    [B | L(B)] is eliminated once to ``order``.  Every column of B must
+    pivot, and the pivot rows then read [I | C]; the rows without a pivot
+    must reduce to zero, which checks that the span is invariant.
+    """
     m = len(basis)
     images = [apply_operator(conn, col) for col in basis]
-    bmat = LaurentMatrix([[basis[j][i] for j in range(m)] for i in range(n)],
-                         conn.q)
-    rows_idx = _certified_independent(
-        [[basis[j][i] for j in range(m)] for i in range(n)], m, conn.q,
-        as_columns=False)
-    if len(rows_idx) != m:
+    work, pivots = gauss_jordan(
+        [[v[i] for v in basis + images] for i in range(conn.rank)], m, order)
+    if len(pivots) < m:
         raise InternalInvariantError("image basis rows are degenerate")
-    bsq = LaurentMatrix([[basis[j][i] for j in range(m)] for i in rows_idx],
-                        conn.q)
-    binv = bsq.inverse(order)
-    tmat = LaurentMatrix([[images[j][i] for j in range(m)] for i in rows_idx],
-                         conn.q)
-    cmat = binv * tmat
-    # consistency on the remaining rows
-    recomposed = bmat * cmat
-    for i in range(n):
-        for j in range(m):
-            if not recomposed.rows[i][j].agrees_with(
-                    LaurentSeries(conn.q, images[j][i].coeffs,
-                                  images[j][i].trunc)):
-                raise InternalInvariantError(
-                    "induced action is inconsistent on the projector image")
+    if not all(x.is_zero_to_order() for row in work[m:] for x in row):
+        raise InternalInvariantError(
+            "induced action is inconsistent on the projector image")
+    cmat = LaurentMatrix([row[m:] for row in work[:m]], conn.q)
     return LambdaConnection(cmat, conn.q, conn.lambda0)
 
 

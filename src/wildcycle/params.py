@@ -124,14 +124,19 @@ class LPoly:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, LPoly):
+        if isinstance(other, (Cyc, int, Fraction)):
             other = LPoly.constant(other)
+        elif not isinstance(other, LPoly):
+            return NotImplemented
         if len(self.coeffs) != len(other.coeffs):
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        # a constant equals its coefficient, so it hashes alike
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
+        return hash(self.coeffs)
 
     def render(self, var: str = "z") -> str:
         return render_terms(var, ((k, c.render())
@@ -270,6 +275,9 @@ class ParamScalar:
         return (self.num * o.den) == (o.num * self.den)
 
     def __hash__(self):
+        # with denominator one the value equals its numerator
+        if _lpoly_is_one(self.den):
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

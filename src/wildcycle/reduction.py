@@ -21,7 +21,7 @@ from fractions import Fraction
 from .connection import LambdaConnection
 from .errors import (InsufficientTruncation, InternalInvariantError,
                      WildcycleError)
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, solve
 from .series import LaurentSeries
 
 
@@ -70,10 +70,12 @@ def _cyclic_candidates(n: int, q: int):
 
 
 def cyclic_data(conn: LambdaConnection, order: int):
-    """Cyclic vector, Krylov gauge, and minimal-operator coefficients.
+    """Minimal-operator coefficients a_0..a_{n-1} of a cyclic vector v.
 
-    Returns (v, krylov: LaurentMatrix, coeffs a_0..a_{n-1}) with
-    L^n v = sum a_i L^i v.  Requires a nonzero derivation (not Higgs).
+    L^n v = sum a_i L^i v, so a solves K a = L^n v for the Krylov matrix
+    K = [v, Lv, ..., L^{n-1} v]; the first candidate v whose system
+    certifies a solution to ``order`` is used.  Requires a nonzero
+    derivation (not Higgs).
     """
     if conn.is_higgs:
         raise WildcycleError("cyclic vectors are not available at lambda = 0")
@@ -83,16 +85,13 @@ def cyclic_data(conn: LambdaConnection, order: int):
         cols = [cand]
         for _ in range(n):
             cols.append(apply_operator(conn, cols[-1]))
-        krylov = LaurentMatrix([[cols[j][i].truncate(order) for j in range(n)]
+        krylov = LaurentMatrix([[cols[j][i] for j in range(n)]
                                 for i in range(n)], conn.q)
+        rhs = LaurentMatrix([[x] for x in cols[n]], conn.q)
         try:
-            kinv = krylov.inverse(order)
+            return [row[0] for row in solve(krylov, rhs, order).rows]
         except WildcycleError as exc:
             last_error = exc
-            continue
-        rhs = [cols[n][i].truncate(order) for i in range(n)]
-        coeffs = [LaurentSeries.dot(kinv.rows[i], rhs) for i in range(n)]
-        return cand, krylov, coeffs
     raise InternalInvariantError(
         f"no cyclic vector found among candidates: {last_error}")
 
@@ -154,7 +153,7 @@ def operator_slopes(conn: LambdaConnection, order: int):
     Slopes are measured in the module's own coordinate u = t_q.
     """
     n = conn.rank
-    _, _, coeffs = cyclic_data(conn, order)
+    coeffs = cyclic_data(conn, order)
     vals = {}
     for i, a in enumerate(coeffs):
         v = a.valuation()

@@ -93,7 +93,7 @@ def residue_spectrum(r0, norder: int):
     eigenvalue has been divided out no longer passes the division.
     Returns a list of (EigenLabel, multiplicity).
     """
-    cp = charpoly(r0, PS1, PS0)
+    cp = charpoly(r0, PS1)
     remaining = list(cp)
     found = []
     root_sets = []

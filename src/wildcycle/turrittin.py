@@ -260,7 +260,7 @@ def _assemble(conn, leaves, gauge, rel) -> FormalDecomposition:
 
 def _leading_charpoly(conn: LambdaConnection) -> LPoly:
     a0 = conn.leading_matrix()
-    cp = charpoly(a0, PS1, PS0)
+    cp = charpoly(a0, PS1)
     consts = []
     for c in cp:
         if not c.is_constant():

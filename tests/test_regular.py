@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wildcycle.connection import ExpFactor, LambdaConnection
+from wildcycle.corpus import build_corpus
 from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import NotStarShaped, WildcycleError
 from wildcycle.exponents import ComplexExponent, star
@@ -265,3 +266,12 @@ def test_regularity_three_ways():
                      [LaurentSeries.monomial(1, -1, 1, 10), zero()]])
     res3 = regularity_test(ramified)
     assert res3["agree"] and not res3["regular"]
+
+
+@pytest.mark.parametrize("name, trunc", [("irr-rank3-two-poles", 6),
+                                         ("irr-rank5-three", 8)])
+def test_regularity_certified_where_the_decomposition_is(name, trunc):
+    # the Krylov system is solved directly, without inverting its matrix
+    case = next(c for c in build_corpus(11, trunc=trunc) if c.name == name)
+    res = regularity_test(case.connection)
+    assert res["agree"] and res["regular"] is case.regular is False

@@ -53,6 +53,41 @@ def test_equal_scalars_hash_alike():
     assert len({LPoly([1, a]), LPoly([1, b])}) == 1
     assert len({ParamScalar.of(a), ParamScalar.of(b)}) == 1
     assert hash(Cyc.rational(Fraction(3, 7), 12)) == hash(Fraction(3, 7))
+    two = [ParamScalar.rational(2), Cyc.rational(2), Cyc.rational(2, 12),
+           LPoly.constant(2), Fraction(2), 2]
+    assert all(x == y for x in two for y in two) and len(set(two)) == 1
+
+
+@st.composite
+def scalars_of_every_type(draw):
+    """A small value c (+ z) as an int, Fraction, Cyc at order 4 or 12,
+    LPoly or ParamScalar, so that equal values of different types are often
+    drawn together; a type that cannot hold the value falls back to LPoly."""
+    c = Cyc.gaussian(draw(st.sampled_from([0, 2, Fraction(-1, 2)])),
+                     draw(st.sampled_from([0, 0, 1])))
+    poly = LPoly([c, 1] if draw(st.booleans()) else [c])
+    kind = draw(st.sampled_from(["int", "fraction", "cyc4", "cyc12", "lpoly",
+                                 "param", "param-over-z"]))
+    constant = poly.is_constant()
+    if kind == "param-over-z":
+        return ParamScalar(poly, LPoly([0, 1]))
+    if kind == "param":
+        return ParamScalar(poly)
+    if kind in ("int", "fraction") and constant and c.is_rational():
+        f = c.as_fraction()
+        return int(f) if kind == "int" and f.denominator == 1 else f
+    if kind in ("cyc4", "cyc12") and constant:
+        return c.lift(12) if kind == "cyc12" else c
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars_of_every_type(), scalars_of_every_type())
+def test_equality_and_hashing_agree_across_scalar_types(a, b):
+    for x, y in ((a, b), (b, a), (a, None), (None, a)):
+        assert (x == y) in (True, False)
+    if a == b:
+        assert b == a and hash(a) == hash(b)
 
 
 @settings(max_examples=60, deadline=None)

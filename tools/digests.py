@@ -13,7 +13,9 @@ non-split factor, one declared over Q with ``cyclotomic_order: 1``), the
 decompose and nearby reports of a document declared at
 ``cyclotomic_order: 12`` whose entries lie in Q(zeta_3), and
 the roots and non-split factors that ``roots_in_field`` finds for a few
-fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12).
+fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12), and the
+folded and unfolded tables at z0 = 1 and 2 of a module whose orbits sit
+at levels 2 and 1, which sends ``regular_part`` through its projector.
 The corpus is ``build_corpus(11, trunc=6)``, all 24 cases; its z-degrees
 stay at most 7, so the tool also digests the README ``decompose`` and
 ``verify`` reports at ``--truncation 24`` and the gauge of ``ram3-two``
@@ -34,15 +36,21 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
+from fractions import Fraction
 
 from wildcycle import cli
-from wildcycle.corpus import build_corpus
+from wildcycle.connection import ExpFactor, LambdaConnection
+from wildcycle.corpus import _conjugate, build_corpus
 from wildcycle.cyclotomic import Cyc
+from wildcycle.exponents import ComplexExponent, star
+from wildcycle.matrices import LaurentMatrix
 from wildcycle.nearby import deligne_nearby_cycles
 from wildcycle.params import LPoly
 from wildcycle.roots import roots_in_field
+from wildcycle.series import LaurentSeries
 from wildcycle.turrittin import formal_decompose, verify_decomposition
 
 # The README's slope-one example, with the headers the twist and mellin
@@ -193,9 +201,29 @@ def root_digests() -> dict:
     return out
 
 
+def projector_digests() -> dict:
+    """Tables of the pushforward of E^(t_2^-1) plus a regular rank-one
+    summand, conjugated by a random gauge: the orbits sit at levels 2 and
+    1, so the level-1 regular part is cut out by the projector."""
+    trunc = 8
+    elem = (LambdaConnection.trivial(1, 2, 2 * trunc)
+            .twist_exponential(ExpFactor(2, {1: 1}), 1).pushforward())
+    beta = star(ComplexExponent.of(Fraction(-1, 3), 0))
+    reg = LambdaConnection(LaurentMatrix([[LaurentSeries.monomial(
+        beta, 0, 1, trunc)]], 1), 1)
+    conn = _conjugate(elem.direct_sum(reg), random.Random(5), trunc)
+    out = {}
+    for z in (1, 2):
+        for folded, key in ((True, "nearby"), (False, "nearby-unfolded")):
+            table, err = guarded(lambda: deligne_nearby_cycles(
+                conn, Cyc.rational(z), folded=folded))
+            out[f"{key}@{z}"] = err or digest(table.as_json())
+    return out
+
+
 def main() -> int:
     result = {"cli": cli_digests(README_DOC, CLI_COMMANDS),
-              "roots": root_digests()}
+              "roots": root_digests(), "projector-path": projector_digests()}
     for name, doc in MORE_DOCS.items():
         result[f"cli-{name}"] = cli_digests(doc, MORE_COMMANDS)
     result["cli-order-twelve"] = cli_digests(
