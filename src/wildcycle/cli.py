@@ -14,19 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .connection import ExpFactor
 from .document import MAX_TRUNCATION, InputDocument
 from .errors import (InsufficientTruncation, InternalInvariantError,
                      NonTerminating, ParseError,
                      UnsupportedAlgebraicExtension, WildcycleError)
-from .mellin import ExpansionTerm, mellin_poles_merged, model_orthonormal_block
-from .exponents import ComplexExponent
-from .connection import ExpFactor
 from .params import ParamScalar
-from .nearby import deligne_nearby_cycles
-from .regular import regularity_test
 from .report import Report
-from .turrittin import (formal_decompose, newton_polygon,
-                        required_truncation, verify_decomposition)
+
+# The modules of the engine's stages are imported by the commands that run
+# them, so a call loads only what its command needs.
 
 COMMANDS = ("decompose", "nearby", "regularity", "ramify", "twist", "mellin",
             "verify")
@@ -70,6 +67,7 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
         _section_polygon(report, conn)
         _section_decomposition(report, conn, doc)
     elif command == "verify":
+        from .turrittin import verify_decomposition
         _section_polygon(report, conn)
         dec = _section_decomposition(report, conn, doc)
         ver = verify_decomposition(conn, dec)
@@ -78,9 +76,11 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
             report.status = "failed"
             report.findings.append("decomposition verification failed")
     elif command == "nearby":
+        from .nearby import deligne_nearby_cycles
         table = deligne_nearby_cycles(conn, lambda0=lam0, folded=not unfolded)
         report.sections["nearby_cycles"] = table.as_json()
     elif command == "regularity":
+        from .regular import regularity_test
         res = regularity_test(conn)
         report.sections["regularity"] = _jsonable(res)
         if not res["agree"]:
@@ -111,6 +111,7 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
 
 
 def _section_polygon(report, conn):
+    from .turrittin import newton_polygon
     poly = newton_polygon(conn)
     report.sections["newton_polygon"] = {
         "slopes": poly.as_json(),
@@ -120,6 +121,7 @@ def _section_polygon(report, conn):
 
 
 def _section_decomposition(report, conn, doc):
+    from .turrittin import formal_decompose, required_truncation
     dec = formal_decompose(conn)
     summands = []
     for s in dec.summands:
@@ -154,6 +156,9 @@ def _cap_note(truncation: int) -> str:
 def _section_mellin(report, doc):
     if not doc.mellin:
         raise WildcycleError("mellin command needs mellin_* headers")
+    from .exponents import ComplexExponent
+    from .mellin import (ExpansionTerm, mellin_poles_merged,
+                         model_orthonormal_block)
     re, im = doc.mellin["beta"]
     beta = ComplexExponent.of(re, im)
     ell = doc.mellin["ell"]

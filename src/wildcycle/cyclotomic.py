@@ -244,6 +244,12 @@ def _make(order: int, nums: tuple, den: int) -> "Cyc":
     return _raw(order, nums, den)
 
 
+def _rational(order: int, num: int, den: int) -> "Cyc":
+    """num/den stored at ``order``, in lowest terms (``den`` positive)."""
+    g = gcd(num, den)
+    return _raw(order, (num // g,) + _zero_tail(order), den // g)
+
+
 @lru_cache(maxsize=None)
 def _zero_tail(order: int) -> tuple:
     return (0,) * (totient(order) - 1)
@@ -391,6 +397,12 @@ class Cyc:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
+        if (type(other) is Cyc and not any(self.nums[1:])
+                and not any(other.nums[1:])):
+            # two rationals: the sum at the lcm, with no lift
+            da, db = self.den, other.den
+            return _rational(lcm(self.order, other.order),
+                             self.nums[0] * db + other.nums[0] * da, da * db)
         a, b = self._pair(other)
         if not any(b.nums):
             return a
@@ -421,8 +433,13 @@ class Cyc:
                 return self._scaled(other, 1)
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
+        elif not any(self.nums[1:]) and not any(other.nums[1:]):
+            # two rationals, most products in practice: no lift
+            return _rational(lcm(self.order, other.order),
+                             self.nums[0] * other.nums[0],
+                             self.den * other.den)
         a, b = self._pair(other)
-        # rational fast paths dominate in practice
+        # one rational factor
         if a.is_rational():
             return b._scaled(a.nums[0], a.den)
         if b.is_rational():

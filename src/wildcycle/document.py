@@ -33,15 +33,16 @@ from .series import LaurentSeries
 
 # Largest rank and truncation a document may declare.  The work grows
 # steeply with both: on a 2-vCPU host CLI decompose of the README 2x2
-# example takes 0.3, 0.8 and 1.2 s at truncation 24, 48 and 64, and of a
+# example takes 0.2, 0.3 and 0.45 s at truncation 24, 48 and 64, and of a
 # bidiagonal example with poles of order 2 at truncation 12 takes
 # 6.4, 24 and 68 s at rank 8, 12 and 16.  A truncation derived from the
 # matrix is held to the same cap.
 MAX_RANK = 12
 MAX_TRUNCATION = 64
 # The series order, truncation * ramification, is capped too: on the same
-# host CLI verify of the README example takes 3.0 s at order 64 (64 x 1),
-# 8.2-8.9 s at 96 (24 x 4, 48 x 2) and 18 s at 128 (64 x 2).
+# host CLI verify of the README example takes 0.8 s at order 64 (64 x 1)
+# and 1.3-2.1 s at 96 (24 x 4, 48 x 2), and through the API 2.4 s at 128
+# (64 x 2).
 MAX_RAMIFICATION = 4
 MAX_SERIES_ORDER = 96
 # Largest mellin_ell, mellin_kprime and mellin_ksecond.  The model block

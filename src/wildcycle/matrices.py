@@ -313,7 +313,7 @@ class LaurentMatrix:
             [[x.truncate(order) for x in row] for row in self.rows], self.q)
 
     def map(self, fn) -> "LaurentMatrix":
-        return LaurentMatrix([[fn(x) for x in row] for row in self.rows], None)
+        return LaurentMatrix([[fn(x) for x in row] for row in self.rows], self.q)
 
     # arithmetic
     def __add__(self, other):

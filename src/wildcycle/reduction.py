@@ -39,19 +39,13 @@ class NeedRamification(Exception):
 
 
 def apply_operator(conn: LambdaConnection, vec):
-    """L(vec) = A*vec + z * (u d/du) vec on coordinate columns."""
-    lam = conn.lambda_factor()
-    n = conn.rank
-    out = []
-    for i in range(n):
-        acc = LaurentSeries.zero(conn.q, None)
-        for j in range(n):
-            a = conn.action.rows[i][j]
-            if not (a.is_zero_to_order() and a.trunc is None):
-                acc = acc + a * vec[j]
-        acc = acc + vec[i].log_derivative() * lam
-        out.append(acc)
-    return out
+    """L(vec) = A*vec + z * (u d/du) vec on coordinate columns, each row
+    one :meth:`LaurentSeries.dot`.  The derivative term keeps vec[i]'s
+    guaranteed order even where z is 0."""
+    ys = list(vec) + [LaurentSeries.constant(conn.lambda_factor(), conn.q)]
+    return [LaurentSeries.dot(row + [vec[i].log_derivative()], ys)
+            .truncate(vec[i].trunc)
+            for i, row in enumerate(conn.action.rows)]
 
 
 def _cyclic_candidates(n: int, q: int):

@@ -9,13 +9,16 @@ exponential factor -(c/k) u^{-k}, or, when the leading matrix is nilpotent,
 re-presents the module in a lattice saturated at the true maximal slope
 (the effective form of replacing u d/du with u^k (u d/du)).  Fractional
 slopes restart the whole computation at a finer ramification.
+
+Verification does not invert the gauge G: it checks the residual
+A G + z u G' - G B against the block-diagonal model B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, inf, prod
 
 from .connection import ExpFactor, LambdaConnection
 from .cyclotomic import Cyc, lcm, totient
@@ -23,7 +26,7 @@ from .errors import (InsufficientTruncation, InternalInvariantError,
                      NonTerminating, SpectrumNotSplit,
                      UnsupportedAlgebraicExtension, WildcycleError)
 from .matrices import (LaurentMatrix, charpoly, const_kernel, const_solve,
-                       identity, mat_mul)
+                       gauss_jordan, identity, mat_mul)
 from .params import LPoly, ParamScalar, PS0, PS1
 from .reduction import (NeedRamification, charpoly_slopes, max_slope,
                         operator_slopes, saturate_lattice)
@@ -298,16 +301,25 @@ def _roots_with_enlargement(cp: LPoly, conn: LambdaConnection, ctx: _Ctx):
     return roots, nonsplit
 
 
-def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
-    """Returns (leaves, gauge): leaves are (phi, regular) in block order."""
+def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx,
+                   spectrum=None):
+    """Returns (leaves, gauge): leaves are (phi, regular) in block order.
+
+    ``spectrum`` is (k, cp, roots, nonsplit) of a split's child, whose
+    leading block at pole order k has charpoly cp; it is used while the
+    pole order is still k and saves finding the roots again."""
     gauges = []
     while True:
         ctx.tick()
         k = m.pole_order()
         if k == 0:
             return [(phi_acc, m)], compose_gauges(gauges, m.rank, m.q)
-        cp = _leading_charpoly(m)
-        roots, nonsplit = _roots_with_enlargement(cp, m, ctx)
+        if spectrum is not None and spectrum[0] == k:
+            _, cp, roots, nonsplit = spectrum
+        else:
+            cp = _leading_charpoly(m)
+            roots, nonsplit = _roots_with_enlargement(cp, m, ctx)
+        spectrum = None
         nilpotent = (len(roots) == 1 and roots[0][0].is_zero()
                      and not nonsplit)
         if nilpotent or (not roots and not nonsplit):
@@ -347,8 +359,13 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx):
             raise InternalInvariantError("characteristic polynomial division failed")
         m1, m2, g = _sylvester_split(m, p1, p2, ctx.order)
         gauges.append(g)
-        leaves1, g1 = _decompose_rec(m1, phi_acc, ctx)
-        leaves2, g2 = _decompose_rec(m2, phi_acc, ctx)
+        # the leading blocks have charpolys p1 and p2, as cp = p1 * p2; a
+        # child left with no root in the field searches a larger one itself
+        leaves1, g1 = _decompose_rec(m1, phi_acc, ctx,
+                                     (k, p1, roots[:1], []))
+        leaves2, g2 = _decompose_rec(
+            m2, phi_acc, ctx,
+            (k, p2, roots[1:], nonsplit) if len(roots) > 1 else None)
         total = compose_gauges(gauges, m.rank, m.q)
         return (leaves1 + leaves2,
                 total * LaurentMatrix.block_diagonal([g1, g2], m.q))
@@ -392,17 +409,19 @@ def _sylvester_split(m: LambdaConnection, p1: LPoly, p2: LPoly, order: int):
                     "leading matrix not block-diagonal after kernel gauge")
     blk1 = [[a_coeff[0][i][j] for j in range(n1)] for i in range(n1)]
     blk2 = [[a_coeff[0][i][j] for j in range(n1, n)] for i in range(n1, n)]
-    syl12 = _sylvester_operator(blk1, blk2)
-    syl21 = _sylvester_operator(blk2, blk1)
+    # each operator is inverted once; every order then applies the inverse
+    dim = n1 * (n - n1)
+    inv12 = const_solve(_sylvester_operator(blk1, blk2),
+                        identity(dim, PS1, PS0))
+    inv21 = const_solve(_sylvester_operator(blk2, blk1),
+                        identity(dim, PS1, PS0))
 
     def solve_block(i, known):
         # diagonal blocks of the new matrix; off-diagonal goes to G_i
         new_i = [[known[r][c] if (r < n1) == (c < n1) else PS0
                   for c in range(n)] for r in range(n)]
-        g12 = _solve_sylvester(syl12, [row[n1:] for row in known[:n1]],
-                               n1, n - n1)
-        g21 = _solve_sylvester(syl21, [row[:n1] for row in known[n1:]],
-                               n - n1, n1)
+        g12 = _apply_inverse(inv12, [row[n1:] for row in known[:n1]])
+        g21 = _apply_inverse(inv21, [row[:n1] for row in known[n1:]])
         gi = ([[PS0] * n1 + row for row in g12]
               + [row + [PS0] * (n - n1) for row in g21])
         return gi, new_i
@@ -426,32 +445,43 @@ def gauge_by_orders(a_coeff, k: int, lam, solve_block):
     ``a_coeff[i]`` is the coefficient of t^(i-k) in A, below the horizon
     len(a_coeff).  At order i the known part is A_i + z*(i-k)*G_{i-k}
     - sum_{0<j<i} (G_j B_{i-j} - A_{i-j} G_j) (for k = 0 the feedback sits
-    at order i itself and belongs to the block solve), and
+    at order i itself and belongs to the block solve), each entry one
+    :meth:`ParamScalar.dot` over the pairs of nonzero factors, and
     ``solve_block(i, known)`` returns (G_i, B_i).  Returns the nonzero G
     parts and the B parts, keyed by i.
     """
     n = len(a_coeff[0])
     g_parts = {0: identity(n, PS1, PS0)}
     new_parts = {0: a_coeff[0]}
+    neg_b = {}  # m >= 1: -B_m
     for i in range(1, len(a_coeff)):
-        known = [row[:] for row in a_coeff[i]]
-        if i - k >= 1 and (i - k) in g_parts:
-            f = lam * Fraction(i - k)
-            gpart = g_parts[i - k]
-            for r in range(n):
-                for c in range(n):
-                    known[r][c] = known[r][c] + f * gpart[r][c]
-        for j in range(1, i):
-            gj = g_parts.get(j)
-            if gj is None:
-                continue
-            t1 = mat_mul(gj, new_parts[i - j])
-            t2 = mat_mul(a_coeff[i - j], gj)
-            for r in range(n):
-                for c in range(n):
-                    known[r][c] = known[r][c] - t1[r][c] + t2[r][c]
+        js = [j for j in range(1, i) if j in g_parts]
+        terms = ([(g_parts[j], neg_b[i - j]) for j in js]
+                 + [(a_coeff[i - j], g_parts[j]) for j in js])
+        fb = g_parts.get(i - k) if i - k >= 1 else None
+        f = lam * Fraction(i - k) if fb is not None else None
+        ai = a_coeff[i]
+        known = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                xs, ys = [], []
+                if ai[r][c]:
+                    xs.append(ai[r][c])
+                    ys.append(PS1)
+                if fb is not None and fb[r][c]:
+                    xs.append(f)
+                    ys.append(fb[r][c])
+                for x, y in terms:
+                    for l in range(n):
+                        if x[r][l] and y[l][c]:
+                            xs.append(x[r][l])
+                            ys.append(y[l][c])
+                row.append(ParamScalar.dot(xs, ys) if xs else PS0)
+            known.append(row)
         gi, new_parts[i] = solve_block(i, known)
-        if any(not x.is_zero() for row in gi for x in row):
+        neg_b[i] = [[-x for x in row] for row in new_parts[i]]
+        if any(x for row in gi for x in row):
             g_parts[i] = gi
     return g_parts, new_parts
 
@@ -506,10 +536,17 @@ def _sylvester_operator(b1, b2):
     return rows
 
 
-def _solve_sylvester(op, rhs, n1, n2):
-    vec = [[rhs[i][j]] for i in range(n1) for j in range(n2)]
-    sol = const_solve(op, vec)
-    return [[sol[i * n2 + j][0] for j in range(n2)] for i in range(n1)]
+def _apply_inverse(inv, rhs):
+    """Solve the Sylvester equation for the n1 x n2 right-hand side ``rhs``
+    with the operator's inverse: one matrix-vector product."""
+    n2 = len(rhs[0]) if rhs else 0
+    vec = [x for row in rhs for x in row]
+    nz = [i for i, x in enumerate(vec) if not x.is_zero()]
+    sol = []
+    for row in inv:
+        pairs = [(row[i], vec[i]) for i in nz if not row[i].is_zero()]
+        sol.append(ParamScalar.dot(*zip(*pairs)) if pairs else PS0)
+    return [sol[i:i + n2] for i in range(0, len(sol), n2)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,49 +554,82 @@ def _solve_sylvester(op, rhs, n1, n2):
 # ---------------------------------------------------------------------------
 
 
-def verify_decomposition(conn: LambdaConnection, dec: FormalDecomposition) -> dict:
-    """Recompute the gauge-transformed matrix and measure the residuals."""
+def gauge_residual(conn: LambdaConnection,
+                   dec: FormalDecomposition) -> LaurentMatrix:
+    """R = A G + z u G' - G B on the pulled-back input A, with B the
+    block-diagonal of the twisted summands: the gauge takes A to B exactly
+    where R vanishes.  Each entry is one :meth:`LaurentSeries.dot`, and G B
+    is formed one column block at a time."""
     m = conn.ramify_pullback(dec.rel_ramification)
-    order = dec.certified_order
-    transformed = m.gauge_transform(dec.gauge, order=order)
-    n = transformed.rank
-    expected_blocks = []
+    g = dec.gauge
+    lam = m.lambda_factor()
+    dg = g.log_derivative()
+    g_cols = list(zip(*g.rows))
+    rows = [[None] * g.ncols for _ in range(g.nrows)]
+    start = 0
     for s in dec.summands:
-        block = s.regular.twist_exponential(s.phi, sign=1)
-        expected_blocks.append(block.action)
-    expected = LaurentMatrix.block_diagonal(expected_blocks, m.q)
-    diff = transformed.action - expected
-    off_residual = None
-    diag_residual = None
-    starts = []
-    off = 0
-    for s in dec.summands:
-        starts.append((off, off + s.rank))
-        off += s.rank
-    def block_of(i):
-        for bi, (a, b) in enumerate(starts):
-            if a <= i < b:
-                return bi
-        return -1
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            v = diff.rows[i][j].valuation()
-            if v is None:
-                continue
-            if block_of(i) != block_of(j):
-                off_residual = v if off_residual is None else min(off_residual, v)
-            else:
-                diag_residual = v if diag_residual is None else min(diag_residual, v)
-            ok = False
-    regular_ok = all(s.regular.pole_order() == 0 for s in dec.summands)
+        b = s.regular.twist_exponential(s.phi, sign=1).action.rows
+        stop = start + s.rank
+        for c in range(s.rank):
+            j = start + c
+            ys = list(g_cols[j]) + [-row[c] for row in b]
+            for i, a_row in enumerate(m.action.rows):
+                xs = a_row + g.rows[i][start:stop]
+                rows[i][j] = LaurentSeries.dot(xs, ys) + dg.rows[i][j] * lam
+        start = stop
+    return LaurentMatrix(rows, m.q)
+
+
+def _gauge_invertible(g: LaurentMatrix, order) -> bool:
+    """Whether the gauge is invertible over the Laurent field: the
+    valuation-pivoted elimination certifies a pivot in every column.
+
+    It runs on the entries cut 1, 2, 4, ... digits above their least
+    valuation, and at ``order`` (by default the gauge's own) only when
+    those certify too few pivots: a gauge whose lowest terms are
+    nonsingular is decided by the first, cheap run."""
+    n = g.ncols
+    cap = order if order is not None else g.trunc()
+    if cap is None:
+        return len(gauss_jordan(g.rows, n)[1]) == n
+    low = min(x.valuation_bound() for row in g.rows for x in row)
+    if low == inf:
+        return False
+    digits = 1
+    while low + digits < cap:
+        if len(gauss_jordan(g.rows, n, low + digits)[1]) == n:
+            return True
+        digits *= 2
+    return len(gauss_jordan(g.rows, n, cap)[1]) == n
+
+
+def verify_decomposition(conn: LambdaConnection, dec: FormalDecomposition) -> dict:
+    """Check the decomposition by its residual, without inverting the gauge.
+
+    The check passes when every entry of R = A G + z u G' - G B
+    (:func:`gauge_residual`) is zero below its guaranteed order t_R, the
+    gauge is invertible, the summands are regular and the ranks add up.
+    Then D = G^-1 R, the difference of the transformed input and B, is
+    zero below t_R + val(G^-1).  The residual valuations are the least
+    certified exponents of R in the diagonal and off-diagonal blocks.
+    """
     rank_ok = dec.total_rank() == conn.rank
-    passed = ok and regular_ok and rank_ok
+    residuals = {True: [], False: []}  # keyed by "off the diagonal blocks"
+    if rank_ok:
+        blocks = [b for b, s in enumerate(dec.summands) for _ in range(s.rank)]
+        for i, row in enumerate(gauge_residual(conn, dec).rows):
+            for j, x in enumerate(row):
+                v = x.valuation()
+                if v is not None:
+                    residuals[blocks[i] != blocks[j]].append(v)
+    ok = (rank_ok and not residuals[True] and not residuals[False]
+          and _gauge_invertible(dec.gauge, dec.certified_order))
+    regular_ok = all(s.regular.pole_order() == 0 for s in dec.summands)
     return {
-        "pass": passed,
-        "certified_order": order,
-        "off_diagonal_residual_valuation": off_residual,
-        "diagonal_residual_valuation": diag_residual,
+        "pass": ok and regular_ok,
+        "certified_order": dec.certified_order,
+        "off_diagonal_residual_valuation": min(residuals[True], default=None),
+        "diagonal_residual_valuation": min(residuals[False], default=None),
         "regular_summands_pole_free": regular_ok,
         "rank_conserved": rank_ok,
     }

@@ -169,6 +169,46 @@ def test_commands_do_not_load_sympy(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+# The names ``wildcycle`` exported when it imported every module eagerly.
+PACKAGE_NAMES = (
+    "ComplexExponent", "Cyc", "DeligneTable", "ExpFactor", "ExpansionTerm",
+    "FormalDecomposition", "InputDocument", "LPoly", "LambdaConnection",
+    "LaurentMatrix", "LaurentSeries", "MellinPole", "NearbyCycleDatum",
+    "NewtonPolygon", "ParamScalar", "RegularModel", "bernstein_product",
+    "deligne_nearby_cycles", "ell", "exponent_from_eigenvalue",
+    "formal_decompose", "is_t_irreducible", "leading_split",
+    "mellin_poles", "model_orthonormal_block", "monodromy_filtration",
+    "newton_polygon", "psi_beta", "ramification_transport",
+    "ramify_series", "reduce_to_constant", "regularity_test", "shear",
+    "star", "v0_lattice_fiber_dim", "verify_decomposition", "__version__")
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    path = tmp_path / "readme.txt"
+    path.write_text(DOC_README)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from wildcycle import cli",
+        "stages = {'wildcycle.turrittin', 'wildcycle.regular',",
+        "          'wildcycle.nearby', 'wildcycle.mellin'}",
+        "def run(*argv):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        code = cli.main([*argv, '--input', {str(path)!r}, '--json'])",
+        "    assert code == 0, (argv, code)",
+        "    return stages & set(sys.modules)",
+        "assert not run('ramify', '--order', '2')",
+        "assert run('decompose') == {'wildcycle.turrittin'}",
+        "import wildcycle",
+        f"names = {PACKAGE_NAMES!r}",
+        "assert all(getattr(wildcycle, n) is not None for n in names)",
+        "assert set(names) <= set(dir(wildcycle))",
+        "assert set(wildcycle.__all__) == set(names) - {'__version__'}",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_input_error_exit_one(tmp_path):
     res = run_cli(tmp_path, DOC_BAD, "decompose", "--json")
     assert res.returncode == 1

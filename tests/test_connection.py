@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from wildcycle.connection import ExpFactor, LambdaConnection
+from wildcycle.corpus import build_corpus
 from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import DenominatorVanishes, SingularGauge
 from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
 from wildcycle.params import ParamScalar
+from wildcycle.reduction import apply_operator
 from wildcycle.series import LaurentSeries
 
 
@@ -142,3 +144,41 @@ def test_restrict_commutes_with_twist_and_gauge():
     rhs = m.restrict_lambda(1).twist_exponential(phi, 1) \
         .gauge_transform(g, order=8)
     assert lhs.action.agrees_with(rhs.action)
+
+
+def apply_operator_two_step(conn, vec):
+    """A*vec summed one product at a time, then z * (u d/du) vec added."""
+    lam = conn.lambda_factor()
+    out = []
+    for i, row in enumerate(conn.action.rows):
+        acc = LaurentSeries.zero(conn.q, None)
+        for a, v in zip(row, vec):
+            if not (a.is_zero_to_order() and a.trunc is None):
+                acc = acc + a * v
+        out.append(acc + vec[i].log_derivative() * lam)
+    return out
+
+
+def test_apply_operator_matches_the_two_step_formula():
+    for case in build_corpus(11, trunc=6):
+        for conn in (case.connection.restrict_lambda(0), case.connection):
+            n, q = conn.rank, conn.q
+            vectors = [
+                [LaurentSeries.one(q) if j == 0 else LaurentSeries.zero(q)
+                 for j in range(n)],
+                [LaurentSeries(q, {0: j + 1, j + 1: -1}, 1 + 3 * j)
+                 for j in range(n)],
+            ]
+            for vec in vectors:
+                assert (apply_operator(conn, vec)
+                        == apply_operator_two_step(conn, vec)), case.name
+
+
+def test_apply_operator_keeps_the_derivative_order_at_z_zero():
+    # at z = 0 the derivative term vanishes, yet vec[i] is only known to
+    # its own order, so L(vec)[i] is too
+    conn = LambdaConnection.trivial(2).restrict_lambda(0)
+    vec = [LaurentSeries(1, {1: 2}, 3), LaurentSeries(1, {0: 1}, 5)]
+    out = apply_operator(conn, vec)
+    assert [x.trunc for x in out] == [3, 5]
+    assert out == apply_operator_two_step(conn, vec)

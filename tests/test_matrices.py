@@ -91,3 +91,10 @@ def test_non_monomial_pivot_needs_an_order():
     rhs = conn.action * g + g.log_derivative().map(lambda x: x * lam)
     assert new.action.trunc() is not None
     assert (g * new.action).agrees_with(rhs)
+
+
+def test_map_keeps_the_ramification():
+    m = LaurentMatrix([[LaurentSeries.monomial(2, -1, 3, 6)]], 3)
+    scalars = m.map(lambda x: x.coeff(-1))
+    assert scalars.q == 3 and scalars.rows[0][0].q == 3
+    assert LaurentMatrix([], 2).map(lambda x: x).q == 2

@@ -237,6 +237,22 @@ def check(c, ref):
     assert ref_of(c) == ref
 
 
+@pytest.mark.parametrize("x, y", [
+    ((3, Fraction(1, 2)), (4, Fraction(-2, 3))),
+    ((1, 2), (12, Fraction(3, 4))),
+    ((5, 0), (5, Fraction(7, 3))),
+    ((8, Fraction(-5, 6)), (1, Fraction(5, 6))),
+])
+def test_rational_operands_meet_at_the_lcm(x, y):
+    # two rationals take a path of their own: the result is stored at the
+    # lcm of the orders, in lowest terms, as the general path stores it
+    a, b = Cyc.rational(x[1], x[0]), Cyc.rational(y[1], y[0])
+    check(a + b, ref_add(ref_of(a), ref_of(b)))
+    check(a - b, ref_add(ref_of(a), ref_of(b), -1))
+    check(a * b, ref_mul(ref_of(a), ref_of(b)))
+    assert (a + b).order == (a * b).order == lcm(x[0], y[0])
+
+
 def test_every_power_of_zeta_folds():
     for order in INT_ORDERS:
         for k in range(3 * order + 1):

@@ -1,17 +1,23 @@
 """The decomposition engine: polygons, splits, shears, certificates."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wildcycle import matrices, turrittin
 from wildcycle.connection import LambdaConnection
+from wildcycle.corpus import build_corpus
 from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import SpectrumNotSplit, UnsupportedAlgebraicExtension
 from wildcycle.exponents import ComplexExponent, star
-from wildcycle.matrices import LaurentMatrix
-from wildcycle.params import ParamScalar
+from wildcycle.matrices import LaurentMatrix, identity, mat_mul
+from wildcycle.params import PS0, PS1, LPoly, ParamScalar
+from wildcycle.roots import roots_in_field
 from wildcycle.series import LaurentSeries
-from wildcycle.turrittin import (formal_decompose, leading_split,
+from wildcycle.turrittin import (formal_decompose, gauge_by_orders,
+                                 gauge_residual, leading_split,
                                  newton_polygon, shear, verify_decomposition)
 
 
@@ -184,6 +190,30 @@ def test_verify_detects_corruption():
     assert rep["off_diagonal_residual_valuation"] is not None
 
 
+def test_verify_detects_a_corrupted_diagonal_block():
+    a11 = LaurentSeries(1, {-1: 1}, 12)
+    a22 = LaurentSeries(1, {-1: -1}, 12)
+    m = LambdaConnection(LaurentMatrix.diagonal([a11, a22], 1), 1)
+    dec = formal_decompose(m)
+    dec.gauge.rows[0][0] = (dec.gauge.rows[0][0]
+                            + LaurentSeries.monomial(1, 2, dec.gauge.q))
+    rep = verify_decomposition(m, dec)
+    # R[0][0] = A G + z u G' - G B gains z u d/du (t^2) = 2z t^2
+    assert not rep["pass"]
+    assert rep["diagonal_residual_valuation"] == 2
+    assert rep["off_diagonal_residual_valuation"] is None
+
+
+def test_verify_rejects_a_singular_gauge():
+    a11 = LaurentSeries(1, {-1: 1}, 12)
+    a22 = LaurentSeries(1, {-1: -1}, 12)
+    m = LambdaConnection(LaurentMatrix.diagonal([a11, a22], 1), 1)
+    dec = formal_decompose(m)
+    # G = 0 has residual 0, but it is no gauge
+    dec.gauge = LaurentMatrix.zero_matrix(2, 2, 1, 12)
+    assert not verify_decomposition(m, dec)["pass"]
+
+
 def test_verify_at_reduced_order_weaker_certificate():
     a11 = LaurentSeries(1, {-1: 1, 0: star(BETA)}, 12)
     a22 = LaurentSeries(1, {-1: -1}, 12)
@@ -230,3 +260,147 @@ def test_slope_zero_length_matches_regular_rank():
     dec = formal_decompose(m)
     reg_rank = sum(s.rank for s in dec.summands if s.phi.is_zero())
     assert p.slope_zero_length() == reg_rank == 2
+
+
+# -- verification by residual over the corpus ---------------------------------
+
+@pytest.fixture(scope="module")
+def corpus_decompositions():
+    """(name, connection, decomposition) of every corpus case as given and
+    restricted to z = 0 and z = 1."""
+    out = []
+    for case in build_corpus(11, trunc=6):
+        for conn in (case.connection, case.connection.restrict_lambda(0),
+                     case.connection.restrict_lambda(1)):
+            out.append((case.name, conn, formal_decompose(conn)))
+    return out
+
+
+def test_verify_does_not_invert_the_gauge(monkeypatch, corpus_decompositions):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification inverted the gauge")
+
+    monkeypatch.setattr(LaurentMatrix, "inverse", refuse)
+    monkeypatch.setattr(matrices, "solve", refuse)
+    monkeypatch.setattr(LambdaConnection, "gauge_transform", refuse)
+    for name, conn, dec in corpus_decompositions:
+        assert verify_decomposition(conn, dec)["pass"], name
+
+
+def test_residual_window_covers_the_transformed_check(corpus_decompositions):
+    # R = 0 below t_R gives G^-1 A G + z G^-1 u G' - B = G^-1 R = 0 below
+    # t_R + val(G^-1): at least the window of that difference formed with
+    # the inverse
+    for name, conn, dec in corpus_decompositions:
+        m = conn.ramify_pullback(dec.rel_ramification)
+        transformed = m.gauge_transform(dec.gauge, order=dec.certified_order)
+        model = LaurentMatrix.block_diagonal(
+            [s.regular.twist_exponential(s.phi, sign=1).action
+             for s in dec.summands], m.q)
+        old_window = (transformed.action - model).trunc()
+        ginv = dec.gauge.inverse(dec.certified_order)
+        val_inv = min(x.valuation() for row in ginv.rows for x in row
+                      if x.valuation() is not None)
+        t_r = gauge_residual(conn, dec).trunc()
+        assert t_r + val_inv >= old_window, name
+
+
+def test_verify_detects_a_corrupted_ramified_gauge():
+    case = next(c for c in build_corpus(11, trunc=6)
+                if c.name == "ram2-implicit")
+    dec = formal_decompose(case.connection)
+    assert verify_decomposition(case.connection, dec)["pass"]
+    rows = [row[:] for row in dec.gauge.rows]
+    rows[1][0] = rows[1][0] + LaurentSeries.monomial(1, 1, dec.gauge.q)
+    bad = dataclasses.replace(dec, gauge=LaurentMatrix(rows, dec.gauge.q))
+    rep = verify_decomposition(case.connection, bad)
+    assert not rep["pass"]
+    assert rep["off_diagonal_residual_valuation"] is not None
+
+
+# -- the order-by-order gauge against its per-j matrix-product form -----------
+
+def gauge_by_orders_reference(a_coeff, k, lam, solve_block):
+    """The known part summed one matrix product at a time."""
+    n = len(a_coeff[0])
+    g_parts = {0: identity(n, PS1, PS0)}
+    new_parts = {0: a_coeff[0]}
+    for i in range(1, len(a_coeff)):
+        known = [row[:] for row in a_coeff[i]]
+        if i - k >= 1 and (i - k) in g_parts:
+            f = lam * Fraction(i - k)
+            known = [[x + f * y for x, y in zip(row, grow)]
+                     for row, grow in zip(known, g_parts[i - k])]
+        for j in range(1, i):
+            if j not in g_parts:
+                continue
+            t1 = mat_mul(g_parts[j], new_parts[i - j])
+            t2 = mat_mul(a_coeff[i - j], g_parts[j])
+            known = [[x - y + w for x, y, w in zip(r0, r1, r2)]
+                     for r0, r1, r2 in zip(known, t1, t2)]
+        gi, new_parts[i] = solve_block(i, known)
+        if any(not x.is_zero() for row in gi for x in row):
+            g_parts[i] = gi
+    return g_parts, new_parts
+
+
+def split_off_diagonal(i, known):
+    """A block solve: the off-diagonal part scaled into G_i, the diagonal
+    kept in B_i."""
+    n = len(known)
+    gi = [[PS0 if r == c else known[r][c] * Fraction(1, r + 2 * c + i)
+           for c in range(n)] for r in range(n)]
+    bi = [[known[r][c] if r == c else PS0 for c in range(n)]
+          for r in range(n)]
+    return gi, bi
+
+
+scalars = st.one_of(
+    st.just(PS0),
+    st.builds(lambda a, b: ParamScalar(LPoly([a, b])),
+              st.integers(-3, 3), st.integers(-2, 2)),
+    # a rational function of z takes the dot's ParamScalar path
+    st.builds(lambda a: ParamScalar(LPoly([a, 1]), LPoly([1, 1])),
+              st.integers(-2, 2)))
+
+
+@st.composite
+def coefficient_lists(draw):
+    n = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 6))
+    return [[[draw(scalars) for _ in range(n)] for _ in range(n)]
+            for _ in range(length)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_lists(), st.integers(0, 2),
+       st.sampled_from([ParamScalar.lam(), PS0, ParamScalar.rational(2)]))
+def test_fused_orders_match_the_matrix_products(a_coeff, k, lam):
+    got = gauge_by_orders(a_coeff, k, lam, split_off_diagonal)
+    want = gauge_by_orders_reference(a_coeff, k, lam, split_off_diagonal)
+    for parts, ref in zip(got, want):
+        assert sorted(parts) == sorted(ref)
+        for i in parts:
+            assert parts[i] == ref[i]
+
+
+# -- split children inherit the spectrum -------------------------------------
+
+def test_split_children_inherit_their_spectrum(monkeypatch):
+    inherited = []
+    recurse = turrittin._decompose_rec
+
+    def spy(m, phi_acc, ctx, spectrum=None):
+        if spectrum is not None and spectrum[0] == m.pole_order():
+            inherited.append((m, ctx.field_order, spectrum))
+        return recurse(m, phi_acc, ctx, spectrum)
+
+    monkeypatch.setattr(turrittin, "_decompose_rec", spy)
+    for case in build_corpus(11, trunc=6):
+        if not case.name.startswith("reg"):
+            formal_decompose(case.connection)
+    assert len(inherited) >= 8
+    for m, field_order, (_, cp, roots, nonsplit) in inherited:
+        own = turrittin._leading_charpoly(m)
+        assert own == cp
+        assert roots_in_field(own, field_order) == (roots, nonsplit)
