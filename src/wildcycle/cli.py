@@ -64,11 +64,9 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
     lam0 = lambda0 if lambda0 is not None else doc.lambda0_points[0]
     conn = doc.connection()
     if command == "decompose":
-        _section_polygon(report, conn)
         _section_decomposition(report, conn, doc)
     elif command == "verify":
         from .turrittin import verify_decomposition
-        _section_polygon(report, conn)
         dec = _section_decomposition(report, conn, doc)
         ver = verify_decomposition(conn, dec)
         report.sections["verification"] = _jsonable(ver)
@@ -110,19 +108,18 @@ def run_command(command: str, doc: InputDocument, lambda0=None,
     return report
 
 
-def _section_polygon(report, conn):
-    from .turrittin import newton_polygon
-    poly = newton_polygon(conn)
+def _section_decomposition(report, conn, doc):
+    """The Newton polygon, read off the decomposition, and the decomposition
+    itself; returns the decomposition."""
+    from .reduction import decomposition_slopes
+    from .turrittin import NewtonPolygon, formal_decompose, required_truncation
+    dec = formal_decompose(conn)
+    poly = NewtonPolygon.of(decomposition_slopes(dec))
     report.sections["newton_polygon"] = {
         "slopes": poly.as_json(),
         "minimal_ramification": poly.ramification(),
         "regular": poly.is_regular(),
     }
-
-
-def _section_decomposition(report, conn, doc):
-    from .turrittin import formal_decompose, required_truncation
-    dec = formal_decompose(conn)
     summands = []
     for s in dec.summands:
         summands.append({

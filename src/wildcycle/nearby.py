@@ -67,7 +67,6 @@ class DeligneEntry:
     phi: ExpFactor                 # t-irreducible representative, minimal q
     rows: list
     orbit: list = field(default_factory=list)
-    provenance: list = field(default_factory=list)
 
     def dim(self) -> int:
         return sum(r.dim for r in self.rows)
@@ -247,12 +246,11 @@ def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None,
     if not folded:
         return _unfolded_table(conn, dec, lam0)
     orbits = {}
-    for idx, s in enumerate(dec.summands):
+    for s in dec.summands:
         orbit = _orbit_of(s.phi)
-        rep = _canonical_orbit_rep(orbit)
-        orbits.setdefault(rep, (rep, orbit, []))[2].append(idx)
+        orbits.setdefault(_canonical_orbit_rep(orbit), orbit)
     entries = []
-    for rep, orbit, members in orbits.values():
+    for rep, orbit in orbits.items():
         if not is_t_irreducible(rep):
             raise InternalInvariantError("orbit representative is reducible")
         twisted = conn.ramify_pullback(rep.q).twist_exponential(rep, sign=-1)
@@ -264,8 +262,7 @@ def deligne_nearby_cycles(conn: LambdaConnection, lambda0=None,
         rows = _gather_rows(
             [t for beta, _ in model.exponents_with_multiplicity()
              for t in _spread_datum(psi_beta(model, beta), rep.q)], lam0)
-        entries.append(DeligneEntry(phi=rep, rows=rows, orbit=orbit,
-                                    provenance=members))
+        entries.append(DeligneEntry(phi=rep, rows=rows, orbit=orbit))
     table = DeligneTable(entries=_sort_entries(entries, lam0),
                          base_ramification=1,
                          represented_rank=conn.rank,
@@ -286,12 +283,11 @@ def _own_disc(conn: LambdaConnection) -> LambdaConnection:
 def _unfolded_table(conn, dec: FormalDecomposition, lam0) -> DeligneTable:
     entries = []
     rel = dec.rel_ramification
-    for idx, s in enumerate(dec.summands):
+    for s in dec.summands:
         model = reduce_to_constant(s.regular, lambda0=lam0)
         rows = [DeligneRow(**vars(psi_beta(model, beta)))
                 for beta, _ in model.exponents_with_multiplicity()]
-        entries.append(DeligneEntry(phi=s.phi, rows=rows, orbit=[s.phi],
-                                    provenance=[idx]))
+        entries.append(DeligneEntry(phi=s.phi, rows=rows, orbit=[s.phi]))
     return DeligneTable(entries=entries, base_ramification=conn.q * rel,
                         represented_rank=conn.rank,
                         lambda0=lam0, q_used=dec.q_used)
@@ -364,7 +360,7 @@ def _push_table_down(table: DeligneTable, q: int, lam0: Cyc) -> DeligneTable:
                 break
         if not placed:
             entries.append(DeligneEntry(phi=rep, rows=new_rows,
-                                        orbit=orbit_new, provenance=[]))
+                                        orbit=orbit_new))
     return DeligneTable(entries=_sort_entries(entries, lam0),
                         base_ramification=table.base_ramification * q,
                         represented_rank=table.represented_rank * q,
@@ -393,7 +389,7 @@ def ramification_transport(table: DeligneTable, r: int) -> DeligneTable:
               [[c * r for c in rr] for rr in row.nilpotent])
              for row in e.rows for n in range(r)], table.lambda0)
         entries.append(DeligneEntry(phi=e.phi, rows=new_rows,
-                                    orbit=list(e.orbit), provenance=[]))
+                                    orbit=list(e.orbit)))
     return DeligneTable(entries=_sort_entries(entries, table.lambda0),
                         base_ramification=step_den,
                         represented_rank=table.represented_rank * r,

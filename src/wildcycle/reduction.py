@@ -5,9 +5,11 @@ Three tools live here:
 * application of the module operator L = A + z*u*d/du to coordinate vectors,
   cyclic vectors and minimal operators (used for slope polygons away from
   the Higgs locus);
-* slope polygons, from minimal-operator coefficient valuations (basis
-  independent) or from characteristic polynomials (exact in the Higgs case
-  where the action is O-linear);
+* slope polygons, each question with one routine: :func:`slopes` reads a
+  connection's polygon from minimal-operator coefficient valuations (basis
+  independent) or, in the Higgs case where the action is O-linear, from
+  the characteristic polynomial; :func:`decomposition_slopes` reads it off
+  a formal decomposition that is already at hand;
 * lattice saturation: given an integer slope bound s, the smallest
   (u^s L)-stable lattice containing the standard one, whose basis is a gauge
   bringing the matrix to pole order <= s.  This replaces ad-hoc shearing:
@@ -141,52 +143,42 @@ def slopes_from_coefficients(vals_by_degree: dict, degree: int):
     return sorted(slopes.items())
 
 
-def operator_slopes(conn: LambdaConnection, order: int):
-    """True slope multiset via the minimal operator of a cyclic vector.
+def slopes(conn: LambdaConnection, order=None):
+    """Slope multiset of the module, measured in its own coordinate u = t_q.
 
-    Slopes are measured in the module's own coordinate u = t_q.
+    At lambda = 0 the action is O-linear and the characteristic polynomial
+    gives the exact polygon; otherwise the basis-independent polygon of the
+    minimal operator of a cyclic vector, solved to ``order``, is used.
+    Sorted increasing, never empty for rank >= 1.
     """
     n = conn.rank
-    coeffs = cyclic_data(conn, order)
+    if conn.is_higgs:
+        coeffs = conn.action.charpoly()[:n]
+        what, required = "characteristic-polynomial", None
+    else:
+        coeffs = cyclic_data(conn, order)
+        what, required = "minimal-operator coefficient", (order or 0) + 2 * n
     vals = {}
     for i, a in enumerate(coeffs):
         v = a.valuation()
         if v is not None:
             vals[i] = v
-        else:
-            if a.trunc is not None and a.trunc < 1:
-                raise InsufficientTruncation(
-                    "minimal-operator coefficient valuation not certified",
-                    required=(order or 0) + 2 * n)
-            # zero to certified order: only slope-0 content, leave absent
+        elif a.trunc is not None and a.trunc < 1:
+            raise InsufficientTruncation(f"{what} valuation not certified",
+                                         required=required)
+        # zero to certified order: only slope-0 content, leave absent
     return slopes_from_coefficients(vals, n)
 
 
-def charpoly_slopes(conn: LambdaConnection):
-    """Slope multiset from the characteristic polynomial of the action.
-
-    Exact for Higgs modules (the action is O-linear there); for families it
-    is the presentation-dependent estimate used by the Newton polygon
-    operation.
-    """
-    cp = conn.action.charpoly()
-    n = conn.rank
-    vals = {}
-    for i in range(n):
-        c = cp[i]
-        v = c.valuation()
-        if v is not None:
-            vals[i] = v
-        elif c.trunc is not None and c.trunc < 1:
-            raise InsufficientTruncation(
-                "characteristic-polynomial valuation not certified")
-    return slopes_from_coefficients(vals, n)
-
-
-def max_slope(conn: LambdaConnection, order: int):
-    slopes = (charpoly_slopes(conn) if conn.is_higgs
-              else operator_slopes(conn, order))
-    return slopes[-1][0] if slopes else Fraction(0)
+def decomposition_slopes(dec):
+    """The polygon a formal decomposition fixes (Levelt-Turrittin): summand
+    E^(phi/z) (x) R has slope pole_order(phi) / rel_ramification, rank R
+    times."""
+    out = {}
+    for s in dec.summands:
+        slope = Fraction(s.phi.pole_order(), dec.rel_ramification)
+        out[slope] = out.get(slope, 0) + s.rank
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import LambdaConnection
-from .cyclotomic import Cyc, interpolate, lcm, poly_divmod
+from .cyclotomic import Cyc, lcm, poly_divmod
 from .errors import (DenominatorVanishes, InternalInvariantError,
                      NotStarShaped, UnsupportedAlgebraicExtension,
                      WildcycleError)
@@ -41,12 +41,12 @@ from .exponents import ComplexExponent, ell, exponent_from_eigenvalue, star
 from .matrices import (Echelon, LaurentMatrix, charpoly, const_is_nilpotent,
                        const_kernel, const_rank, identity, mat_mul,
                        nilpotent_jordan_chains)
-from .params import C0, LPoly, ParamScalar, PS0, PS1
-from .reduction import charpoly_slopes, saturate_lattice
+from .params import LPoly, ParamScalar, PS0, PS1
+from .reduction import decomposition_slopes, saturate_lattice, slopes
 from .roots import roots_in_field
 from .series import LaurentSeries
-from .turrittin import (compose_gauges, formal_decompose, gauge_by_orders,
-                        newton_polygon, series_from_parts)
+from .turrittin import (formal_decompose, gauge_by_orders, newton_polygon,
+                        series_from_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +87,19 @@ class EigenLabel:
 def residue_spectrum(r0, norder: int):
     """Eigenvalue functions of a constant ParamScalar matrix.
 
-    Candidates come from interpolating exact root sets at z = 0, 1, 2 and
-    are verified by exact division of the characteristic polynomial.  The
-    root sets are read once, from the full polynomial: a root whose
-    eigenvalue has been divided out no longer passes the division.
-    Returns a list of (EigenLabel, multiplicity).
+    A label e(z) = star(beta + j) + m*z has z^2 coefficient i*Im e(0), so
+    its values r0 at z = 0 and r1 at z = 1 fix it: with c2 = i*Im r0 it is
+    r0 + (r1 - r0 - c2)*z + c2*z^2.  Candidates come from pairs of exact
+    roots at z = 0 and 1 and are verified by exact division of the
+    characteristic polynomial.  The root sets are read once, from the full
+    polynomial: a root whose eigenvalue has been divided out no longer
+    passes the division.  Returns a list of (EigenLabel, multiplicity).
     """
     cp = charpoly(r0, PS1)
     remaining = list(cp)
     found = []
     root_sets = []
-    for pt in (0, 1, 2):
+    for pt in (0, 1):
         coeffs = [c.eval(Cyc.rational(pt)) for c in cp]
         roots, nonsplit = roots_in_field(LPoly(coeffs), norder)
         if nonsplit:
@@ -108,15 +110,12 @@ def residue_spectrum(r0, norder: int):
     while len(remaining) > 1:
         hit = None
         for r0_ in root_sets[0]:
+            c2 = (r0_ - r0_.conjugate()) / 2
             for r1_ in root_sets[1]:
-                for r2_ in root_sets[2]:
-                    cand = ParamScalar(LPoly(interpolate(
-                        [0, 1, 2], [r0_, r1_, r2_], C0)))
-                    quo, rem = poly_divmod(remaining, [-cand, PS1], PS0)
-                    if not any(rem):
-                        hit = (cand, quo)
-                        break
-                if hit:
+                cand = ParamScalar(LPoly([r0_, r1_ - r0_ - c2, c2]))
+                quo, rem = poly_divmod(remaining, [-cand, PS1], PS0)
+                if not any(rem):
+                    hit = (cand, quo)
                     break
             if hit:
                 break
@@ -159,14 +158,13 @@ class ModelBlock:
 class RegularModel:
     """Constant model of a regular module at the model point z0.
 
-    ``matrix`` and ``gauge`` are values at z0 (ParamScalar constants); the
-    blocks keep the family labels e(z), which carry the exponent classes.
+    ``matrix`` holds values at z0 (ParamScalar constants); the blocks keep
+    the family labels e(z), which carry the exponent classes.
     """
 
     matrix: list                 # n x n constant ParamScalar rows
     blocks: list                 # ModelBlock in frame order
     lambda0: Cyc
-    gauge: LaurentMatrix         # from the input frame, evaluated at z0
     denominators: list           # rendered e_r(z) - e_c(z) + m*z inverted
 
     @property
@@ -252,22 +250,23 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
                        spectrum[i][0].offset, spectrum[i][0].lattice))
     labels = [spectrum[i] for i in ordered]
     flag = LaurentMatrix.from_constant(_eigen_flag(r0, labels, n), m.q)
-    # the labels needed the family residue; every t-order step runs at z0
+    # the labels needed the family residue; every t-order step runs at z0,
+    # where the saturation and the flag must both be defined
     try:
-        gauges = [] if saturation is None else [saturation.eval_lambda(lam0)]
-        gauges.append(flag.eval_lambda(lam0))
+        if saturation is not None:
+            saturation.eval_lambda(lam0)
+        flag = flag.eval_lambda(lam0)
     except DenominatorVanishes as exc:
         raise InternalInvariantError(
             f"model gauge is singular at the model point: {exc}") from exc
-    m = m.restrict_lambda(lam0).gauge_transform(gauges[-1], order=order)
+    m = m.restrict_lambda(lam0).gauge_transform(flag, order=order)
     blocks = []
     pos = 0
     for label, mult in labels:
         blocks.append(ModelBlock(label=label, size=mult, start=pos))
         pos += mult
     # eliminate all non-resonant t-orders in the unaligned frame
-    m, g_elim, denominators = _eliminate_orders(m, blocks, order)
-    gauges.append(g_elim)
+    m, denominators = _eliminate_orders(m, blocks, order)
     # alignment shears: same-class values become equal at z0, and the kept
     # resonant couplings land exactly at t^0
     cls_sorted = [class_of[i] for i in ordered]
@@ -280,7 +279,6 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
                            for _ in range(b.size))
         g = LaurentMatrix.diagonal(entries, m.q)
         m = m.gauge_transform(g, order=order)
-        gauges.append(g)
     const = m.action.coefficient_matrix(0)
     for row in m.action.rows:
         for x in row:
@@ -289,7 +287,6 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
                 raise InternalInvariantError(
                     "model failed to become constant after shearing")
     return RegularModel(matrix=const, blocks=blocks, lambda0=lam0,
-                        gauge=compose_gauges(gauges, n, conn.q),
                         denominators=sorted(set(
                             d.render() for d in denominators
                             if not d.is_constant())))
@@ -368,8 +365,8 @@ def _eigen_flag(r0, ordered_labels, n):
 def _eliminate_orders(m: LambdaConnection, blocks, order: int):
     """Remove every t-order >= 1 entry with invertible obstruction at z0.
 
-    ``m`` is restricted to z0.  Returns the new connection, the gauge, and
-    the family obstructions e_r(z) - e_c(z) + order*z that were inverted.
+    ``m`` is restricted to z0.  Returns the new connection and the family
+    obstructions e_r(z) - e_c(z) + order*z that were inverted.
     """
     n = m.rank
     lam = m.lambda_factor()
@@ -393,9 +390,8 @@ def _eliminate_orders(m: LambdaConnection, blocks, order: int):
                     for mt, gm in g_parts.items() if mt
                     for r in range(n) for c in range(n)
                     if not gm[r][c].is_zero()]
-    gauge = series_from_parts(g_parts, 0, m.q, horizon)
     new = series_from_parts(new_parts, 0, m.q, horizon)
-    return LambdaConnection(new, m.q, m.lambda0), gauge, denominators
+    return LambdaConnection(new, m.q, m.lambda0), denominators
 
 
 def _solve_order(nil, known, values, lam, mt):
@@ -609,8 +605,7 @@ def v0_lattice_fiber_dim(conn: LambdaConnection) -> int:
     """
     if not conn.is_higgs:
         raise WildcycleError("V0-lattice dimension is a Higgs (z=0) invariant")
-    slopes = charpoly_slopes(conn)
-    return sum(m for s, m in slopes if s == 0)
+    return sum(m for s, m in slopes(conn) if s == 0)
 
 
 def regularity_test(conn: LambdaConnection) -> dict:
@@ -620,10 +615,8 @@ def regularity_test(conn: LambdaConnection) -> dict:
     results["newton_polygon_at_1"] = poly1.is_regular()
     higgs = conn.restrict_lambda(0) if not conn.is_higgs else conn
     results["v0_lattice_full_at_0"] = (v0_lattice_fiber_dim(higgs) == conn.rank)
-    dec = formal_decompose(conn)
-    results["decomposition_trivial_phi"] = (
-        dec.rel_ramification == 1
-        and all(s.phi.is_zero() for s in dec.summands))
+    results["decomposition_trivial_phi"] = all(
+        s == 0 for s, _ in decomposition_slopes(formal_decompose(conn)))
     verdicts = [results["newton_polygon_at_1"],
                 results["v0_lattice_full_at_0"],
                 results["decomposition_trivial_phi"]]

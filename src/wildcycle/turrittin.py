@@ -28,8 +28,7 @@ from .errors import (InsufficientTruncation, InternalInvariantError,
 from .matrices import (LaurentMatrix, charpoly, const_kernel, const_solve,
                        gauss_jordan, identity, mat_mul)
 from .params import LPoly, ParamScalar, PS0, PS1
-from .reduction import (NeedRamification, charpoly_slopes, max_slope,
-                        operator_slopes, saturate_lattice)
+from .reduction import NeedRamification, saturate_lattice, slopes
 from .roots import roots_in_field
 from .series import LaurentSeries
 
@@ -102,20 +101,14 @@ class FormalDecomposition:
 
 
 def newton_polygon(conn: LambdaConnection, lambda0=None, order=None) -> NewtonPolygon:
-    """Slope polygon of the module (its own coordinate), minimal q included.
-
-    For a fixed parameter value 0 the characteristic polynomial of the Higgs
-    action gives the exact polygon; otherwise the basis-independent polygon
-    of the minimal operator of a cyclic vector is used.
-    """
+    """Slope polygon of the module (its own coordinate), minimal q included,
+    by :func:`reduction.slopes`."""
     m = conn
     if lambda0 is not None and conn.is_family:
         m = conn.restrict_lambda(lambda0)
     if order is None:
         order = default_truncation(m)
-    if m.is_higgs:
-        return NewtonPolygon.of(charpoly_slopes(m))
-    return NewtonPolygon.of(operator_slopes(m, order))
+    return NewtonPolygon.of(slopes(m, order))
 
 
 def shear(conn: LambdaConnection, indices, power: int):
@@ -140,7 +133,7 @@ def leading_split(conn: LambdaConnection, group1, group2, order=None):
     if order is None:
         order = default_truncation(conn)
     cp = _leading_charpoly(conn)
-    norder = _field_order(conn, cp)
+    norder = lcm(conn.cyclotomic_order(), 4)
     roots, nonsplit = roots_in_field(cp, norder)
     if nonsplit:
         raise UnsupportedAlgebraicExtension(
@@ -276,13 +269,6 @@ def _leading_charpoly(conn: LambdaConnection) -> LPoly:
     return LPoly(consts)
 
 
-def _field_order(conn: LambdaConnection, cp: LPoly) -> int:
-    n = lcm(conn.cyclotomic_order(), 4)
-    for c in cp.coeffs:
-        n = lcm(n, c.order)
-    return n
-
-
 def _roots_with_enlargement(cp: LPoly, conn: LambdaConnection, ctx: _Ctx):
     roots, nonsplit = roots_in_field(cp, ctx.field_order)
     if roots or not nonsplit:
@@ -323,7 +309,7 @@ def _decompose_rec(m: LambdaConnection, phi_acc: ExpFactor, ctx: _Ctx,
         nilpotent = (len(roots) == 1 and roots[0][0].is_zero()
                      and not nonsplit)
         if nilpotent or (not roots and not nonsplit):
-            s = max_slope(m, ctx.order)
+            s = slopes(m, ctx.order)[-1][0]
             if s.denominator > 1:
                 raise NeedRamification(s.denominator)
             s = int(s)

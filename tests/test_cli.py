@@ -331,3 +331,57 @@ def test_truncation_override(tmp_path):
                   "--truncation", "5")
     data = json.loads(res.stdout)
     assert data["sections"]["decomposition"]["certified_order"] == 5
+
+
+# -- the polygon is read off the decomposition --------------------------------
+
+def corpus_document(name):
+    """A ``build_corpus(11, trunc=6)`` case as an input document."""
+    from wildcycle.corpus import build_corpus
+    conn = next(c for c in build_corpus(11, trunc=6)
+                if c.name == name).connection
+    header = ["variables: t z",
+              f"cyclotomic_order: {max(4, conn.cyclotomic_order())}",
+              f"rank: {conn.rank}", f"ramification: {conn.q}",
+              f"truncation: {conn.guaranteed_order // conn.q}",
+              "lambda0: 1", "matrix:"]
+    rows = [", ".join(row) for row in conn.action.render("t", "z")]
+    return "\n".join(header + rows) + "\n"
+
+
+def run_command_in_process(tmp_path, capsys, doc, command):
+    path = tmp_path / "doc.txt"
+    path.write_text(doc)
+    code = cli.main([command, "--input", str(path), "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, slopes", [
+    ("irr-rank2-pole3", [["0", 1], ["3", 1]]),
+    ("irr-rank5-three", [["1", 3], ["2", 2]])])
+def test_decompose_and_verify_where_a_cyclic_vector_does_not_certify(
+        tmp_path, capsys, name, slopes):
+    # the minimal operator of a cyclic vector needs more digits than the
+    # decomposition; the report's polygon is the decomposition's own
+    doc = corpus_document(name)
+    for command in ("decompose", "verify"):
+        code, data = run_command_in_process(tmp_path, capsys, doc, command)
+        assert code == 0, (command, data["findings"])
+        assert data["sections"]["newton_polygon"] == {
+            "slopes": slopes, "minimal_ramification": 1, "regular": False}
+    assert data["sections"]["verification"]["pass"] is True
+
+
+def test_decompose_and_verify_need_no_cyclic_vector_at_pole_order_zero(
+        tmp_path, capsys, monkeypatch):
+    from wildcycle import reduction
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic vector was computed")
+
+    monkeypatch.setattr(reduction, "cyclic_data", refuse)
+    doc = corpus_document("reg-rank3-mixed")
+    for command in ("decompose", "verify"):
+        code, data = run_command_in_process(tmp_path, capsys, doc, command)
+        assert code == 0, (command, data["findings"])
+        assert data["sections"]["newton_polygon"]["slopes"] == [["0", 3]]

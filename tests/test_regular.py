@@ -10,6 +10,7 @@ from wildcycle.cyclotomic import Cyc
 from wildcycle.errors import NotStarShaped, WildcycleError
 from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
+from wildcycle.params import ParamScalar
 from wildcycle.regular import (bernstein_product, monodromy_filtration,
                                psi_beta, reduce_to_constant, regularity_test,
                                v0_lattice_fiber_dim,
@@ -44,10 +45,29 @@ def test_already_constant_diagonal():
 
 
 def test_wrong_shape_eigenvalue_rejected():
-    from wildcycle.params import ParamScalar
     m = conn([[const(ParamScalar.lam() ** 3)]])
     with pytest.raises(NotStarShaped):
         reduce_to_constant(m)
+
+
+def test_residue_labels_from_two_root_sets(monkeypatch):
+    # a label's values at z = 0 and 1 fix it: one residue, two root finds
+    from wildcycle import regular
+    calls = []
+    find = regular.roots_in_field
+
+    def spy(*args):
+        calls.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(regular, "roots_in_field", spy)
+    m = conn([[const(star(B2)), const(1), zero()],
+              [zero(), const(star(B2)), zero()],
+              [zero(), zero(), const(star(B) + ParamScalar.lam())]])
+    spectrum = regular.residue_spectrum(m.action.coefficient_matrix(0), 4)
+    assert len(calls) == 2
+    assert sorted((label.render(), mult) for label, mult in spectrum) == [
+        (star(B2).render(), 2), ((star(B) + ParamScalar.lam()).render(), 1)]
 
 
 def test_resonant_pair_merges_with_log():

@@ -11,7 +11,10 @@ the reports of decompose, verify, nearby and regularity on two more
 documents (one that exits 2 with the minimal polynomial of the first
 non-split factor, one declared over Q with ``cyclotomic_order: 1``), the
 decompose and nearby reports of a document declared at
-``cyclotomic_order: 12`` whose entries lie in Q(zeta_3), and
+``cyclotomic_order: 12`` whose entries lie in Q(zeta_3), the decompose,
+verify and regularity reports of the corpus case ``irr-rank2-pole3``
+rendered as a document (its cyclic-vector polygon asks for more digits
+than its decomposition), and
 the roots and non-split factors that ``roots_in_field`` finds for a few
 fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12), and the
 folded and unfolded tables at z0 = 1 and 2 of a module whose orbits sit
@@ -189,6 +192,17 @@ def cli_digests(doc: str, commands, extra=()) -> dict:
     return out
 
 
+def corpus_document(conn) -> str:
+    """A corpus connection as an input document (header plus matrix)."""
+    header = ["variables: t z",
+              f"cyclotomic_order: {max(4, conn.cyclotomic_order())}",
+              f"rank: {conn.rank}", f"ramification: {conn.q}",
+              f"truncation: {conn.guaranteed_order // conn.q}",
+              "lambda0: 1", "matrix:"]
+    rows = [", ".join(row) for row in conn.action.render("t", "z")]
+    return "\n".join(header + rows) + "\n"
+
+
 def root_digests() -> dict:
     out = {}
     for name, coeffs in ROOT_POLYS.items():
@@ -235,6 +249,10 @@ def main() -> int:
     result["ram3-two-trunc12-gauge"] = err or digest(dec.gauge.render())
     for case in build_corpus(11, trunc=6):
         result[case.name] = case_digests(case)
+        if case.name == "irr-rank2-pole3":
+            result["cli-pole3"] = cli_digests(
+                corpus_document(case.connection),
+                [["decompose"], ["verify"], ["regularity"]])
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
