@@ -189,7 +189,7 @@ class LambdaConnection:
 
     def leading_matrix(self):
         k = self.pole_order()
-        return self.action.leading_matrix(-k)
+        return self.action.coefficient_matrix(-k)
 
     # -- constructors ------------------------------------------------------
     @staticmethod

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .cyclotomic import Cyc
 from .errors import InsufficientTruncation, SingularGauge, WildcycleError
-from .params import PS0, ParamScalar
+from .params import PS0, PS1, ParamScalar
 from .series import LaurentSeries
 
 # ---------------------------------------------------------------------------
@@ -119,10 +120,21 @@ def const_rref(mat):
     return m, pivots
 
 
-def const_kernel(mat, one, zero):
+def one_and_zero(mat):
+    """One and zero of the field that the entries of ``mat`` lie in."""
+    sample = mat[0][0]
+    if isinstance(sample, ParamScalar):
+        return PS1, PS0
+    if isinstance(sample, Cyc):
+        return Cyc.one(), Cyc.zero()
+    return Fraction(1), Fraction(0)
+
+
+def const_kernel(mat):
     """Basis of the right kernel as column vectors (lists)."""
     if not mat:
         return []
+    one, zero = one_and_zero(mat)
     rref, pivots = const_rref(mat)
     cols = len(mat[0])
     free = [c for c in range(cols) if c not in pivots]
@@ -154,17 +166,7 @@ def const_solve(mat, rhs_cols):
     return [[rref[i][n + j] for j in range(w)] for i in range(n)]
 
 
-def const_is_nilpotent(mat) -> bool:
-    n = len(mat)
-    p = [row[:] for row in mat]
-    for _ in range(n):
-        if all(_iszero(x) for row in p for x in row):
-            return True
-        p = mat_mul(p, mat)
-    return all(_iszero(x) for row in p for x in row)
-
-
-def nilpotent_jordan_chains(mat, one, zero):
+def nilpotent_jordan_chains(mat):
     """Jordan chains of a nilpotent matrix, longest first.
 
     Returns a list of chains; each chain is [v, Nv, N^2 v, ...] written as
@@ -172,7 +174,7 @@ def nilpotent_jordan_chains(mat, one, zero):
     :class:`WildcycleError` when N^n is not zero.
     """
     n = len(mat)
-    powers = [identity(n, one, zero)]
+    powers = [identity(n, *one_and_zero(mat))]
     for _ in range(n):
         powers.append(mat_mul(powers[-1], mat))
         if all(_iszero(x) for row in powers[-1] for x in row):
@@ -181,8 +183,7 @@ def nilpotent_jordan_chains(mat, one, zero):
         raise WildcycleError("matrix is not nilpotent")
     nil_index = len(powers) - 1
     # flag space via ker N^k
-    kernels = [const_kernel(powers[k], one, zero) for k in
-               range(nil_index + 1)]
+    kernels = [const_kernel(powers[k]) for k in range(nil_index + 1)]
     chains = []
     used = []  # running spanning set (columns)
     for k in range(nil_index, 0, -1):
@@ -350,12 +351,6 @@ class LaurentMatrix:
     def charpoly(self):
         """Monic char poly of the matrix; coefficients are Laurent series."""
         return charpoly(self.rows, LaurentSeries.one(self.q, self.trunc()))
-
-    def leading_matrix(self, at_order: int):
-        """Constant matrix of coefficients of t_q^at_order."""
-        return [[x.coeff(at_order) if (x.trunc is None or at_order < x.trunc)
-                 else PS0
-                 for x in row] for row in self.rows]
 
     def coefficient_matrix(self, n: int):
         return [[x.coeffs.get(n, PS0) for x in row]

@@ -343,24 +343,16 @@ def _sort_entries(entries, lam0):
 
 def _push_table_down(table: DeligneTable, q: int, lam0: Cyc) -> DeligneTable:
     """Table of the direct image: keys re-leveled, rows divided by q."""
-    entries = []
+    spread = {}  # orbit representative -> (orbit, spread triples)
     for e in table.entries:
         phi_new = ExpFactor(e.phi.q * q, dict(e.phi.coeffs)).reduce_ramification()
         orbit_new = _orbit_of(phi_new)
-        rep = _canonical_orbit_rep(orbit_new)
-        new_rows = _gather_rows(
-            [t for r in e.rows for t in _spread_datum(r, q)], lam0)
-        placed = False
-        for existing in entries:
-            if existing.phi == rep:
-                existing.rows = _gather_rows(
-                    [(r.beta, r.dim, r.nilpotent)
-                     for r in existing.rows + new_rows], lam0)
-                placed = True
-                break
-        if not placed:
-            entries.append(DeligneEntry(phi=rep, rows=new_rows,
-                                        orbit=orbit_new))
+        _, triples = spread.setdefault(_canonical_orbit_rep(orbit_new),
+                                       (orbit_new, []))
+        triples.extend(t for r in e.rows for t in _spread_datum(r, q))
+    entries = [DeligneEntry(phi=rep, rows=_gather_rows(triples, lam0),
+                            orbit=orbit)
+               for rep, (orbit, triples) in spread.items()]
     return DeligneTable(entries=_sort_entries(entries, lam0),
                         base_ramification=table.base_ramification * q,
                         represented_rank=table.represented_rank * q,

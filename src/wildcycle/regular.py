@@ -9,18 +9,21 @@ on the connection restricted to z0, over Q(zeta_N):
   e(z) = star(beta + j) + m*z with integer j (exponent shift) and m
   (lattice position: multiplying a section by t adds z, not 1).  These
   labels cannot be recovered from values at z0 alone, which is why they
-  come from the family;
+  come from the family.  Each label's value at z0 is computed once, with
+  its resonance class and its integer step within the class;
 * a constant conjugation by the eigen-flag, evaluated at z0, splits the
   residue into generalized eigenblocks, one per label;
 * every t-order >= 1 is eliminated order by order, except entries whose
   obstruction e_row(z0) - e_col(z0) + order*z0 vanishes -- those are the
-  resonant couplings and stay.  The order loop is the one of the Sylvester
+  resonant couplings and stay.  Only these constants at z0 are inverted,
+  never a family obstruction.  The order loop is the one of the Sylvester
   split (``turrittin.gauge_by_orders``); since the residue's nilpotent part
   is strictly upper triangular in the eigen-flag frame, each order is
   solved in a single pass over its entries;
 * partial t-rescalings align each resonance class (values congruent modulo
-  z0*Z) to a common value at z0.  The kept couplings land exactly at t^0
-  under these shears, so the result is constant.
+  z0*Z) to a common value at z0: a block's shear is the step of its class's
+  first block minus its own.  The kept couplings land exactly at t^0 under
+  these shears, so the result is constant.
 
 Surviving couplings inside a class are the nilpotent data of the nearby
 cycles at z0; the monodromy weight filtration is read off Jordan chains and
@@ -38,9 +41,9 @@ from .errors import (DenominatorVanishes, InternalInvariantError,
                      NotStarShaped, UnsupportedAlgebraicExtension,
                      WildcycleError)
 from .exponents import ComplexExponent, ell, exponent_from_eigenvalue, star
-from .matrices import (Echelon, LaurentMatrix, charpoly, const_is_nilpotent,
-                       const_kernel, const_rank, identity, mat_mul,
-                       nilpotent_jordan_chains)
+from .matrices import (Echelon, LaurentMatrix, charpoly, const_kernel,
+                       identity, mat_mul, nilpotent_jordan_chains,
+                       one_and_zero)
 from .params import LPoly, ParamScalar, PS0, PS1
 from .reduction import decomposition_slopes, saturate_lattice, slopes
 from .roots import roots_in_field
@@ -145,13 +148,13 @@ def residue_spectrum(r0, norder: int):
 
 @dataclass
 class ModelBlock:
+    """A generalized eigenblock in frame order, aligned with its resonance
+    class by t^sheared_by: its value at z0 is its label's + sheared_by*z0."""
+
     label: EigenLabel
     size: int
     start: int
     sheared_by: int = 0
-
-    def final_function(self) -> ParamScalar:
-        return self.label.function() + ParamScalar.lam() * self.sheared_by
 
 
 @dataclass
@@ -159,13 +162,14 @@ class RegularModel:
     """Constant model of a regular module at the model point z0.
 
     ``matrix`` holds values at z0 (ParamScalar constants); the blocks keep
-    the family labels e(z), which carry the exponent classes.
+    the family labels e(z), which carry the exponent classes.  Each label's
+    value at z0 is computed once, and only constants at z0 are inverted,
+    never a family obstruction.
     """
 
     matrix: list                 # n x n constant ParamScalar rows
     blocks: list                 # ModelBlock in frame order
     lambda0: Cyc
-    denominators: list           # rendered e_r(z) - e_c(z) + m*z inverted
 
     @property
     def rank(self) -> int:
@@ -193,7 +197,6 @@ class NearbyCycleDatum:
     nilpotent: list              # dim x dim Cyc rows, nilpotent
     weight_dims: dict            # level -> dim gr^M_level
     primitive_dims: dict         # level >= 0 -> dim P gr^M_level
-    phi: object = None
 
     def jordan_type(self):
         return tuple(sorted((l + 1 for l, d in self.primitive_dims.items()
@@ -242,10 +245,11 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
     norder = lcm(m.cyclotomic_order(), lcm(4, lam0.order))
     r0 = m.action.coefficient_matrix(0)
     spectrum = residue_spectrum(r0, norder)
-    class_of = _resonance_classes(spectrum, lam0)
+    values = [label.value_at(lam0) for label, _ in spectrum]
+    class_step = _resonance_classes(values, lam0)
     ordered = sorted(
         range(len(spectrum)),
-        key=lambda i: (class_of[i], -spectrum[i][0].level(),
+        key=lambda i: (class_step[i][0], -spectrum[i][0].level(),
                        spectrum[i][0].beta.beta_re, spectrum[i][0].beta.beta_im,
                        spectrum[i][0].offset, spectrum[i][0].lattice))
     labels = [spectrum[i] for i in ordered]
@@ -260,24 +264,26 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
         raise InternalInvariantError(
             f"model gauge is singular at the model point: {exc}") from exc
     m = m.restrict_lambda(lam0).gauge_transform(flag, order=order)
+    # a t^s-rescale moves a value by s*z0: each block is sheared onto the
+    # value of its class's first block in frame order
     blocks = []
+    first_step = {}
     pos = 0
-    for label, mult in labels:
-        blocks.append(ModelBlock(label=label, size=mult, start=pos))
-        pos += mult
+    for i in ordered:
+        ci, step = class_step[i]
+        blocks.append(ModelBlock(
+            label=spectrum[i][0], size=spectrum[i][1], start=pos,
+            sheared_by=first_step.setdefault(ci, step) - step))
+        pos += spectrum[i][1]
     # eliminate all non-resonant t-orders in the unaligned frame
-    m, denominators = _eliminate_orders(m, blocks, order)
+    m = _eliminate_orders(m, [values[i] for i in ordered
+                              for _ in range(spectrum[i][1])], order)
     # alignment shears: same-class values become equal at z0, and the kept
     # resonant couplings land exactly at t^0
-    cls_sorted = [class_of[i] for i in ordered]
-    shear_powers = _alignment_shears(blocks, cls_sorted, lam0)
-    if any(shear_powers):
-        entries = []
-        for b, s in zip(blocks, shear_powers):
-            b.sheared_by = s
-            entries.extend(LaurentSeries.monomial(1, s, m.q)
-                           for _ in range(b.size))
-        g = LaurentMatrix.diagonal(entries, m.q)
+    if any(b.sheared_by for b in blocks):
+        g = LaurentMatrix.diagonal(
+            [LaurentSeries.monomial(1, b.sheared_by, m.q)
+             for b in blocks for _ in range(b.size)], m.q)
         m = m.gauge_transform(g, order=order)
     const = m.action.coefficient_matrix(0)
     for row in m.action.rows:
@@ -286,49 +292,24 @@ def reduce_to_constant(conn: LambdaConnection, lambda0=None) -> RegularModel:
             if v is not None and v != 0:
                 raise InternalInvariantError(
                     "model failed to become constant after shearing")
-    return RegularModel(matrix=const, blocks=blocks, lambda0=lam0,
-                        denominators=sorted(set(
-                            d.render() for d in denominators
-                            if not d.is_constant())))
+    return RegularModel(matrix=const, blocks=blocks, lambda0=lam0)
 
 
-def _resonance_classes(spectrum, lam0: Cyc):
-    """Indices grouped by value congruence modulo z0 * Z."""
-    class_of = {}
+def _resonance_classes(values, lam0: Cyc):
+    """(class, step) per value: values congruent modulo z0 * Z share a
+    class, and value = the class's first value + step*z0."""
     reps = []
-    for i, (label, _) in enumerate(spectrum):
-        v = label.value_at(lam0)
-        assigned = None
+    out = []
+    for v in values:
         for ci, rep in enumerate(reps):
             ratio = (v - rep) / lam0
             if ratio.is_rational() and ratio.as_fraction().denominator == 1:
-                assigned = ci
+                out.append((ci, int(ratio.as_fraction())))
                 break
-        if assigned is None:
+        else:
+            out.append((len(reps), 0))
             reps.append(v)
-            assigned = len(reps) - 1
-        class_of[i] = assigned
-    return class_of
-
-
-def _alignment_shears(blocks, classes, lam0: Cyc):
-    """Integer t-powers equalizing same-class values at z0.
-
-    A t^sigma-rescale moves a value by sigma*z0, so sigma is the value gap
-    divided by z0 -- an integer by the definition of the resonance classes.
-    """
-    shears = []
-    target = {}
-    for b, ci in zip(blocks, classes):
-        value = b.label.value_at(lam0)
-        if ci not in target:
-            target[ci] = value
-        step = (target[ci] - value) / lam0
-        if not step.is_rational() or step.as_fraction().denominator != 1:
-            raise InternalInvariantError(
-                "resonance class members differ by a non-integral gap")
-        shears.append(int(step.as_fraction()))
-    return shears
+    return out
 
 
 def _eigen_flag(r0, ordered_labels, n):
@@ -348,7 +329,7 @@ def _eigen_flag(r0, ordered_labels, n):
         power = identity(n, PS1, PS0)
         for _ in range(n):
             power = mat_mul(power, shifted)
-            for vec in const_kernel(power, PS1, PS0):
+            for vec in const_kernel(power):
                 if span.add(vec):
                     block_cols.append(vec)
             if len(block_cols) >= mult:
@@ -362,18 +343,17 @@ def _eigen_flag(r0, ordered_labels, n):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _eliminate_orders(m: LambdaConnection, blocks, order: int):
+def _eliminate_orders(m: LambdaConnection, values, order: int):
     """Remove every t-order >= 1 entry with invertible obstruction at z0.
 
-    ``m`` is restricted to z0.  Returns the new connection and the family
-    obstructions e_r(z) - e_c(z) + order*z that were inverted.
+    ``m`` is restricted to z0, and ``values`` holds each row's eigenvalue
+    at z0.
     """
     n = m.rank
     lam = m.lambda_factor()
     t_in = m.guaranteed_order
     horizon = t_in if t_in is not None else order
-    labels = [b.label for b in blocks for _ in range(b.size)]
-    values = [ParamScalar.of(label.value_at(m.lambda0)) for label in labels]
+    values = [ParamScalar.of(v) for v in values]
     r0 = m.action.coefficient_matrix(0)
     nil = [[r0[i][j] - (values[i] if i == j else PS0) for j in range(n)]
            for i in range(n)]
@@ -382,16 +362,11 @@ def _eliminate_orders(m: LambdaConnection, blocks, order: int):
             "nilpotent part of the residue is not strictly upper triangular")
     a_coeff = [r0] + [m.action.coefficient_matrix(i)
                       for i in range(1, horizon)]
-    g_parts, new_parts = gauge_by_orders(
+    _, new_parts = gauge_by_orders(
         a_coeff, 0, lam,
         lambda mt, known: _solve_order(nil, known, values, lam, mt))
-    denominators = [labels[r].function() - labels[c].function()
-                    + ParamScalar.lam() * mt
-                    for mt, gm in g_parts.items() if mt
-                    for r in range(n) for c in range(n)
-                    if not gm[r][c].is_zero()]
     new = series_from_parts(new_parts, 0, m.q, horizon)
-    return LambdaConnection(new, m.q, m.lambda0), denominators
+    return LambdaConnection(new, m.q, m.lambda0)
 
 
 def _solve_order(nil, known, values, lam, mt):
@@ -446,7 +421,7 @@ def psi_beta(model: RegularModel, beta) -> NearbyCycleDatum:
     values = []
     for b in mine:
         sel.extend(range(b.start, b.start + b.size))
-        values.extend([b.final_function().eval(lam0)] * b.size)
+        values.extend([b.label.value_at(lam0) + lam0 * b.sheared_by] * b.size)
     nil = []
     for i, gi in enumerate(sel):
         row = []
@@ -461,9 +436,11 @@ def psi_beta(model: RegularModel, beta) -> NearbyCycleDatum:
                 entry = Cyc.zero()
             row.append(-entry)
         nil.append(row)
-    if not const_is_nilpotent(nil):
-        raise InternalInvariantError("expected nilpotent block is not nilpotent")
-    weight_dims, primitive_dims, _ = monodromy_filtration(nil)
+    try:
+        weight_dims, primitive_dims, _ = monodromy_filtration(nil)
+    except WildcycleError as exc:
+        raise InternalInvariantError(
+            "expected nilpotent block is not nilpotent") from exc
     return NearbyCycleDatum(beta=beta, dim=dim, nilpotent=nil,
                             weight_dims=weight_dims,
                             primitive_dims=primitive_dims)
@@ -479,8 +456,7 @@ def monodromy_filtration(nil):
     n = len(nil)
     if n == 0:
         return {}, {}, []
-    one, zero = _field_one_zero(nil)
-    chains = nilpotent_jordan_chains(nil, one, zero)
+    chains = nilpotent_jordan_chains(nil)
     weight_dims = {}
     primitive_dims = {}
     for chain in chains:
@@ -492,19 +468,10 @@ def monodromy_filtration(nil):
     return weight_dims, primitive_dims, chains
 
 
-def _field_one_zero(mat):
-    sample = mat[0][0]
-    if isinstance(sample, ParamScalar):
-        return PS1, PS0
-    if isinstance(sample, Cyc):
-        return Cyc.one(), Cyc.zero()
-    return Fraction(1), Fraction(0)
-
-
 def weight_filtration_subspaces(nil):
     """M_k = sum_j (ker N^{j+1} cap im N^{j-k}): the closed-formula oracle."""
     n = len(nil)
-    one, zero = _field_one_zero(nil)
+    one, zero = one_and_zero(nil)
     powers = [identity(n, one, zero)]
     for _ in range(n + 1):
         powers.append(mat_mul(powers[-1], nil))
@@ -516,41 +483,33 @@ def weight_filtration_subspaces(nil):
         if p > n:
             return []
         cols = [[powers[p][i][j] for i in range(n)] for j in range(n)]
-        return _independent(cols, one, zero)
+        return _independent(cols)
 
     out = {}
     for k in range(-n - 2, n + 3):
         gens = []
         for j in range(0, n + 1):
-            ker = const_kernel(powers[min(j + 1, n)], one, zero) \
+            ker = const_kernel(powers[min(j + 1, n)]) \
                 if j + 1 <= n else \
                 [[one if i == jj else zero for i in range(n)] for jj in range(n)]
             im = image_basis(j - k)
-            gens.extend(_intersect(ker, im, one, zero))
-        out[k] = _independent(gens, one, zero)
+            gens.extend(_intersect(ker, im, zero))
+        out[k] = _independent(gens)
     return out
 
 
-def _independent(vectors, one, zero):
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    picked = []
-    for v in vectors:
-        trial = picked + [v]
-        matrix = [[trial[j][i] for j in range(len(trial))] for i in range(n)]
-        if const_rank(matrix) == len(trial):
-            picked.append(v)
-    return picked
+def _independent(vectors):
+    span = Echelon()
+    return [v for v in vectors if span.add(v)]
 
 
-def _intersect(basis_a, basis_b, one, zero):
+def _intersect(basis_a, basis_b, zero):
     if not basis_a or not basis_b:
         return []
     n = len(basis_a[0])
     cols = [list(v) for v in basis_a] + [[-x for x in v] for v in basis_b]
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    null = const_kernel(matrix, one, zero)
+    null = const_kernel(matrix)
     out = []
     for vec in null:
         comb = [zero] * n
@@ -561,7 +520,7 @@ def _intersect(basis_a, basis_b, one, zero):
                     comb[i] = comb[i] + c * basis_a[idx][i]
         if any(not (x == zero) for x in comb):
             out.append(comb)
-    return _independent(out, one, zero)
+    return _independent(out)
 
 
 # ---------------------------------------------------------------------------

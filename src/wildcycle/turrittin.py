@@ -503,7 +503,7 @@ def _kernel_basis(a0, p: LPoly):
             for j in range(n):
                 val[i][j] = val[i][j] + acc[i][j] * cc
         acc = mat_mul(a0, acc)
-    return const_kernel(val, PS1, PS0)
+    return const_kernel(val)
 
 
 def _sylvester_operator(b1, b2):

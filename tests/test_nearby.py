@@ -353,6 +353,15 @@ def test_golden_regular_rows(regular_cases, lam0):
         assert rows == sorted(GOLDEN_REGULAR_ROWS[name]), f"{name} at {lam0}"
 
 
+def test_folded_tables_do_not_move_with_more_input_digits(corpus_cases):
+    # truncation oracle: twice the input digits give the same tables
+    deeper = {c.name: c.connection for c in build_corpus(11, trunc=12)}
+    assert sorted(deeper) == sorted(corpus_cases)
+    for name, m in corpus_cases.items():
+        assert deligne_nearby_cycles(m, lambda0=1).as_json() == \
+            deligne_nearby_cycles(deeper[name], lambda0=1).as_json(), name
+
+
 def test_restricted_connection_is_read_at_its_own_point(regular_cases):
     # the Higgs field has no constant model: an input error, not a bug
     for name, m in regular_cases.items():

@@ -7,11 +7,13 @@ import pytest
 from wildcycle.connection import ExpFactor, LambdaConnection
 from wildcycle.corpus import build_corpus
 from wildcycle.cyclotomic import Cyc
-from wildcycle.errors import NotStarShaped, WildcycleError
+from wildcycle.errors import (InternalInvariantError, NotStarShaped,
+                              WildcycleError)
 from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
 from wildcycle.params import ParamScalar
-from wildcycle.regular import (bernstein_product, monodromy_filtration,
+from wildcycle.regular import (EigenLabel, ModelBlock, RegularModel,
+                               bernstein_product, monodromy_filtration,
                                psi_beta, reduce_to_constant, regularity_test,
                                v0_lattice_fiber_dim,
                                weight_filtration_subspaces)
@@ -41,7 +43,6 @@ def test_already_constant_diagonal():
     model = reduce_to_constant(m)
     assert [b.render() for b in model.classes()] == \
         [B2.render(), B.render()] or len(model.classes()) == 2
-    assert model.denominators == []
 
 
 def test_wrong_shape_eigenvalue_rejected():
@@ -116,6 +117,18 @@ def test_resonant_distance_two_at_model_point_one():
     assert datum.primitive_dims == {1: 1}
 
 
+def test_three_member_class_shears_onto_its_first_block():
+    # at z0 = 1 the values b, b+1, b+2 form one class; the frame starts at
+    # the highest level, and a t^s-rescale moves a value by s
+    t1 = LaurentSeries.monomial(1, 1, 1, 10)
+    m = conn([[const(star(B)), t1, zero()],
+              [zero(), const(star(B + 1)), t1],
+              [zero(), zero(), const(star(B + 2))]])
+    model = reduce_to_constant(m, lambda0=1)
+    assert [b.sheared_by for b in model.blocks] == [0, 1, 2]
+    assert psi_beta(model, B).primitive_dims == {2: 1}
+
+
 def test_nonresonant_t_coupling_eliminated():
     rows = [[const(star(B)), zero()],
             [LaurentSeries.monomial(1, 1, 1, 10), const(star(B + 1))]]
@@ -157,6 +170,16 @@ def test_psi_additive_over_sums():
     datum = psi_beta(model, B)
     assert datum.dim == 3
     assert datum.weight_dims == {1: 1, 0: 1, -1: 1}
+
+
+def test_psi_refuses_a_block_that_is_not_nilpotent():
+    # star(0) is 0 at z0 = 1, so the block [[2]] leaves N = [[-2]]
+    label = EigenLabel(ComplexExponent.of(0), 0, Fraction(0))
+    model = RegularModel(matrix=[[ParamScalar.rational(2)]],
+                         blocks=[ModelBlock(label=label, size=1, start=0)],
+                         lambda0=Cyc.rational(1))
+    with pytest.raises(InternalInvariantError, match="not nilpotent"):
+        psi_beta(model, label.cls())
 
 
 def test_psi_dimension_sums_to_rank():

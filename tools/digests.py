@@ -19,6 +19,12 @@ the roots and non-split factors that ``roots_in_field`` finds for a few
 fixed polynomials over Q, Q(zeta_2) = Q, Q(i) and Q(zeta_12), and the
 folded and unfolded tables at z0 = 1 and 2 of a module whose orbits sit
 at levels 2 and 1, which sends ``regular_part`` through its projector.
+It also digests constant models from ``reduce_to_constant`` (the rendered
+matrix, and each block's label, size, start and shear): of the reg-* cases
+at z0 in {1, 2, i}, and of the six orderings of
+diag(star(beta), star(beta + 1), star(beta + 2)), beta = -1/3, with t on
+the superdiagonal, at z0 = 1 and 2, whose resonance classes shear by
+nonzero t-powers.
 The corpus is ``build_corpus(11, trunc=6)``, all 24 cases; its z-degrees
 stay at most 7, so the tool also digests the README ``decompose`` and
 ``verify`` reports at ``--truncation 24`` and the gauge of ``ram3-two``
@@ -37,6 +43,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -52,6 +59,7 @@ from wildcycle.exponents import ComplexExponent, star
 from wildcycle.matrices import LaurentMatrix
 from wildcycle.nearby import deligne_nearby_cycles
 from wildcycle.params import LPoly
+from wildcycle.regular import reduce_to_constant
 from wildcycle.roots import roots_in_field
 from wildcycle.series import LaurentSeries
 from wildcycle.turrittin import formal_decompose, verify_decomposition
@@ -235,6 +243,38 @@ def projector_digests() -> dict:
     return out
 
 
+def model_digest(conn, point) -> str:
+    model, err = guarded(lambda: reduce_to_constant(conn, point))
+    return err or digest(
+        {"matrix": [[x.render() for x in row] for row in model.matrix],
+         "blocks": [[b.label.render(), b.size, b.start, b.sheared_by]
+                    for b in model.blocks]})
+
+
+def model_digests(cases) -> dict:
+    """Constant models of the reg-* cases, and of a three-member resonance
+    class coupled by t in each ordering of its diagonal."""
+    out = {}
+    for case in cases:
+        if case.name.startswith("reg-"):
+            for label, point in NEARBY_POINTS:
+                out[f"{case.name}@{label}"] = model_digest(case.connection,
+                                                           point)
+    trunc = 6
+    beta = ComplexExponent.of(Fraction(-1, 3))
+    t = LaurentSeries.monomial(1, 1, 1, trunc)
+    zero = LaurentSeries.zero(1, trunc)
+    for shifts in itertools.permutations(range(3)):
+        rows = [[LaurentSeries.monomial(star(beta + shifts[i]), 0, 1, trunc)
+                 if j == i else t if j == i + 1 else zero
+                 for j in range(3)] for i in range(3)]
+        conn = LambdaConnection(LaurentMatrix(rows, 1), 1)
+        for z in (1, 2):
+            key = "diag-" + "".join(map(str, shifts)) + f"@{z}"
+            out[key] = model_digest(conn, Cyc.rational(z))
+    return out
+
+
 def main() -> int:
     result = {"cli": cli_digests(README_DOC, CLI_COMMANDS),
               "roots": root_digests(), "projector-path": projector_digests()}
@@ -247,7 +287,9 @@ def main() -> int:
     case = next(c for c in build_corpus(11, trunc=12) if c.name == "ram3-two")
     dec, err = guarded(lambda: formal_decompose(case.connection))
     result["ram3-two-trunc12-gauge"] = err or digest(dec.gauge.render())
-    for case in build_corpus(11, trunc=6):
+    cases = build_corpus(11, trunc=6)
+    result["models"] = model_digests(cases)
+    for case in cases:
         result[case.name] = case_digests(case)
         if case.name == "irr-rank2-pole3":
             result["cli-pole3"] = cli_digests(
